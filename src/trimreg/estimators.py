@@ -102,8 +102,19 @@ def median_of_means(values, num_blocks: int) -> float:
     arr = as_sample(values)
     if not 1 <= num_blocks <= arr.size:
         raise ValueError(f"num_blocks must be in [1, {arr.size}], got {num_blocks}")
-    means = [float(block.mean()) for block in np.array_split(arr, num_blocks)]
+    starts, sizes = _bucket_layout(arr.size, num_blocks)
+    means = [float(arr[s : s + z].mean()) for s, z in zip(starts, sizes)]
     return float(np.median(means))
+
+
+def _bucket_layout(n: int, num_blocks: int):
+    """Contiguous balanced bucket offsets: sizes floor(n/K) or ceil(n/K)."""
+    base, extra = divmod(n, num_blocks)
+    sizes = np.full(num_blocks, base, dtype=np.intp)
+    sizes[:extra] += 1
+    starts = np.zeros(num_blocks, dtype=np.intp)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return starts, sizes
 
 
 def phi_uniform(n: int, eps: float, alpha: float) -> float:

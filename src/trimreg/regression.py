@@ -7,7 +7,10 @@ each kept only if it moves the objective in its player's favour.
 The median-of-means variant replaces the active set by the bucket whose mean
 loss difference achieves the median. Best-MoM sweeps bucket counts using
 oracle access to the true coefficients; it exists purely as an infeasible
-benchmark baseline.
+benchmark baseline. Its candidate bucket counts descend together, as one
+batch of iterate rows, and plain MoM is the one-candidate batch. Every
+descent takes the closed-form Armijo step: on a frozen active set the SSE
+is quadratic along the gradient, so the step test needs no SSE evaluation.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import TrimSpec, trimmed_mean
+from .estimators import TrimSpec, _bucket_layout, trimmed_mean
 from .synthdata import Dataset, RngSeed
 
 __all__ = [
@@ -137,24 +140,38 @@ def _check_trim(k: int, n: int) -> None:
         raise ValueError(f"need 0 <= 2k < n, got k={k}, n={n}")
 
 
+def _armijo_step(step: float, g2: float, xg2: float, theta: float):
+    """Backtracked Armijo step on a frozen active set; returns (taken, carried).
+
+    On frozen rows SSE(beta - s*g) = SSE(beta) - s*||g||^2 + s^2*||X g||^2,
+    so a step s does not increase the SSE iff s*||X g||^2 <= ||g||^2; the
+    test needs ||g||^2 and ||X g||^2 only. From ``step`` the step shrinks by
+    theta until the test holds. After LINE_SEARCH_CAP shrinks the step taken
+    is zero, and the step shrunk once more carries over to the next
+    iteration, as an accepted step does.
+    """
+    for _ in range(LINE_SEARCH_CAP + 1):
+        if step * xg2 <= g2:
+            return step, step
+        step *= theta
+    return 0.0, step
+
+
 def _armijo_half_step(XI, yI, beta, step, theta):
     """One grown-then-backtracked gradient step on the active-set SSE.
 
-    Tries beta - step * grad, shrinking the step by theta while the SSE over
-    the active rows increases. After LINE_SEARCH_CAP shrinks the iterate is
-    kept unchanged (zero step). Returns (new_beta, step) so the accepted
-    step size carries over to the next iteration.
+    Takes beta - s * grad for the largest s = step * theta^j with
+    j <= LINE_SEARCH_CAP that does not increase the SSE over the active rows
+    (see _armijo_step); if none does, the iterate is kept unchanged.
+    Returns (new_beta, step) so the step size carries over to the next
+    iteration.
     """
-    resid = yI - XI @ beta
-    grad = -2.0 * (XI.T @ resid)
-    sse0 = float(resid @ resid)
-    for _ in range(LINE_SEARCH_CAP + 1):
-        cand = beta - step * grad
-        r = XI @ cand - yI
-        if float(r @ r) <= sse0:
-            return cand, step
-        step *= theta
-    return beta, step
+    grad = -2.0 * (XI.T @ (yI - XI @ beta))
+    Xg = XI @ grad
+    taken, step = _armijo_step(step, float(grad @ grad), float(Xg @ Xg), theta)
+    if taken == 0.0:
+        return beta, step
+    return beta - taken * grad, step
 
 
 def aasd(
@@ -283,25 +300,122 @@ def plug_in(
     return RegressorPair(beta_m, beta_M)
 
 
-def _bucket_layout(n: int, num_blocks: int):
-    """Contiguous balanced bucket offsets: sizes floor(n/K) or ceil(n/K)."""
-    base, extra = divmod(n, num_blocks)
-    sizes = np.full(num_blocks, base, dtype=np.intp)
-    sizes[:extra] += 1
-    starts = np.zeros(num_blocks, dtype=np.intp)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    return starts, sizes
+def _mom_layout(n: int, Ks):
+    """Buckets of every candidate in ``Ks``, laid out over a flattened C-by-n matrix.
 
-
-def _median_bucket(diffs, starts, sizes) -> int:
-    """Index of the bucket whose mean achieves the median of bucket means.
-
-    For an even bucket count the lower of the two middle buckets is used;
-    ties resolve by bucket order (stable sort).
+    Returns (starts, sizes, owner, median, bucket): the offset c*n + start
+    and the size of each bucket, the candidate c owning it, for each
+    candidate the position of its median bucket in an owner-major sort of
+    all buckets, and the C-by-n map from each cell to its bucket.
     """
-    means = np.add.reduceat(diffs, starts) / sizes
-    order = np.argsort(means, kind="stable")
-    return int(order[(len(order) - 1) // 2])
+    layouts = [_bucket_layout(n, K) for K in Ks]
+    starts = np.concatenate([c * n + st for c, (st, _) in enumerate(layouts)])
+    sizes = np.concatenate([sz for _, sz in layouts])
+    Ks = np.asarray(Ks, dtype=np.intp)
+    # the smallest integer type: lexsort on it is several times faster
+    owner = np.repeat(np.arange(Ks.size, dtype=np.min_scalar_type(Ks.size)), Ks)
+    median = np.cumsum(Ks) - Ks + (Ks - 1) // 2
+    bucket = np.repeat(np.arange(sizes.size), sizes).reshape(Ks.size, n)
+    return starts, sizes, owner, median, bucket
+
+
+def _median_buckets(diffs, starts, sizes, owner, median) -> np.ndarray:
+    """Per candidate, the bucket whose mean loss difference is the median.
+
+    ``diffs`` is the C-by-n matrix of loss differences. For an even bucket
+    count the lower of the two middle buckets is used; ties resolve by
+    bucket order (lexsort is stable). Returns indices into ``starts``.
+    """
+    means = np.add.reduceat(diffs.ravel(), starts) / sizes
+    return np.lexsort((means, owner))[median]
+
+
+def _rowwise(A, M):
+    """A @ M one row at a time, so each row's bits do not depend on the others.
+
+    A two-dimensional BLAS product may round a row differently depending on
+    how many rows it is given; a stacked product makes the same call for
+    every row, so a batched candidate matches its one-candidate run.
+    """
+    return np.matmul(A[:, None, :], M)[:, 0]
+
+
+def _mom_descent(
+    data: Dataset,
+    Ks: Sequence[int],
+    cfg: Optional[GdConfig],
+    init: Optional[RegressorPair],
+    rng: Optional[RngSeed],
+):
+    """Alternating MoM descent for every bucket count in ``Ks`` at once.
+
+    The sample is shuffled once with ``rng``. Row c of the returned
+    (C-by-d, C-by-d) pair of iterate matrices is the descent with Ks[c]
+    buckets. Each half-step takes every candidate's median bucket as its
+    active set and one closed-form Armijo step on that bucket's SSE. Each
+    candidate keeps its own step sizes and stops on its own movement; a
+    stopped candidate's iterates are final and it leaves the batch. Every
+    row is computed apart from the others, so it does not depend on which
+    other candidates share the batch.
+    """
+    n = data.n
+    for K in Ks:
+        if not 1 <= K <= n:
+            raise ValueError(f"num_blocks must be in [1, {n}], got {K}")
+    cfg = cfg or GdConfig()
+    if init is None:
+        init = RegressorPair.zeros(data.d)
+    perm = (rng or RngSeed(0)).generator().permutation(n)
+    Xs, ys = data.X[perm], data.y[perm]
+    XsT = Xs.T
+    Ks = np.asarray(Ks, dtype=np.intp)
+    ids = np.arange(Ks.size)
+    Bm = np.tile(init.beta_m, (Ks.size, 1))
+    BM = np.tile(init.beta_M, (Ks.size, 1))
+    out_m, out_M = np.empty_like(Bm), np.empty_like(BM)
+    Rm = _rowwise(Bm, XsT) - ys
+    RM = _rowwise(BM, XsT) - ys
+    eta = np.full(Ks.size, cfg.eta0)
+    xi = np.full(Ks.size, cfg.xi0)
+    layout = _mom_layout(n, Ks)
+
+    def half_step(B, R, step, diffs, layout):
+        starts, sizes, owner, median, bucket = layout
+        b = _median_buckets(diffs, starts, sizes, owner, median)
+        rows = bucket == b[:, None]
+        G = 2.0 * _rowwise(np.where(rows, R, 0.0), Xs)
+        XG = np.where(rows, _rowwise(G, XsT), 0.0)
+        g2 = np.einsum("ij,ij->i", G, G).tolist()
+        xg2 = np.einsum("ij,ij->i", XG, XG).tolist()
+        taken, carried = np.array(
+            [_armijo_step(*args, cfg.theta) for args in zip(step.tolist(), g2, xg2)]
+        ).T
+        new = np.where((taken > 0.0)[:, None], B - taken[:, None] * G, B)
+        return new, _rowwise(new, XsT) - ys, carried
+
+    for _ in range(cfg.max_iters):
+        eta = eta / cfg.theta
+        new_m, Rm, eta = half_step(Bm, Rm, eta, Rm * Rm - RM * RM, layout)
+        xi = xi / cfg.theta
+        new_M, RM, xi = half_step(BM, RM, xi, Rm * Rm - RM * RM, layout)
+        delta = np.maximum(
+            np.linalg.norm(Bm - new_m, axis=1), np.linalg.norm(BM - new_M, axis=1)
+        )
+        Bm, BM = new_m, new_M
+        done = delta <= cfg.tol_delta
+        if done.any():
+            out_m[ids[done]] = Bm[done]
+            out_M[ids[done]] = BM[done]
+            go = ~done
+            ids, Bm, BM, Rm, RM, eta, xi = (
+                a[go] for a in (ids, Bm, BM, Rm, RM, eta, xi)
+            )
+            if ids.size == 0:
+                break
+            layout = _mom_layout(n, Ks[ids])
+    out_m[ids] = Bm
+    out_M[ids] = BM
+    return out_m, out_M
 
 
 def mom_regression(
@@ -317,44 +431,11 @@ def mom_regression(
     ``num_blocks`` balanced contiguous buckets. Per iteration, the bucket
     achieving the median of the bucket means of the loss difference plays
     the role of the active set in the alternating Armijo updates; the
-    stopping rule matches the trimmed-mean descent.
+    stopping rule matches the trimmed-mean descent. This is the one-candidate
+    run of the batched descent that Best-MoM uses.
     """
-    cfg = cfg or GdConfig()
-    n, d = data.X.shape
-    if not 1 <= num_blocks <= n:
-        raise ValueError(f"num_blocks must be in [1, {n}], got {num_blocks}")
-    if init is None:
-        init = RegressorPair.zeros(d)
-    if rng is None:
-        rng = RngSeed(0)
-    perm = rng.generator().permutation(n)
-    Xs = data.X[perm]
-    ys = data.y[perm]
-    starts, sizes = _bucket_layout(n, num_blocks)
-
-    beta_m = init.beta_m.copy()
-    beta_M = init.beta_M.copy()
-    eta = cfg.eta0
-    xi = cfg.xi0
-    for _ in range(cfg.max_iters):
-        eta /= cfg.theta
-        b = _median_bucket(_loss_diffs(Xs, ys, beta_m, beta_M), starts, sizes)
-        sl = slice(starts[b], starts[b] + sizes[b])
-        new_m, eta = _armijo_half_step(Xs[sl], ys[sl], beta_m, eta, cfg.theta)
-
-        xi /= cfg.theta
-        b = _median_bucket(_loss_diffs(Xs, ys, new_m, beta_M), starts, sizes)
-        sl = slice(starts[b], starts[b] + sizes[b])
-        new_M, xi = _armijo_half_step(Xs[sl], ys[sl], beta_M, xi, cfg.theta)
-
-        delta = max(
-            float(np.linalg.norm(beta_m - new_m)),
-            float(np.linalg.norm(beta_M - new_M)),
-        )
-        beta_m, beta_M = new_m, new_M
-        if delta <= cfg.tol_delta:
-            break
-    return RegressorPair(beta_m, beta_M)
+    Bm, BM = _mom_descent(data, [num_blocks], cfg, init, rng)
+    return RegressorPair(Bm[0], BM[0])
 
 
 def best_mom(
@@ -370,8 +451,10 @@ def best_mom(
 
     Runs the MoM regression for every candidate bucket count and keeps the
     one minimizing the population-covariance loss against the known true
-    coefficients. Infeasible in practice (it peeks at beta_star); used only
-    to benchmark against.
+    coefficients (the first such candidate on ties). The candidates descend
+    together as one batch on the same shuffle, and each ends where
+    ``mom_regression`` at its bucket count ends. Infeasible in practice (it
+    peeks at beta_star); used only to benchmark against.
     """
     if beta_star is None or Sigma is None:
         raise ValueError("best_mom needs the true coefficients and covariance")
@@ -380,13 +463,10 @@ def best_mom(
     candidate_Ks = list(candidate_Ks)
     if not candidate_Ks:
         raise ValueError("candidate bucket counts must be nonempty")
-    best = None
-    for K in candidate_Ks:
-        pair = mom_regression(data, K, cfg, init, rng)
-        loss = loss_l2(pair.beta_m, beta_star, Sigma)
-        if best is None or loss < best[0]:
-            best = (loss, K, pair)
-    return best[1], best[2]
+    Bm, BM = _mom_descent(data, candidate_Ks, cfg, init, rng)
+    losses = [loss_l2(beta_m, beta_star, Sigma) for beta_m in Bm]
+    c = losses.index(min(losses))
+    return candidate_Ks[c], RegressorPair(Bm[c], BM[c])
 
 
 def loss_l2(beta_hat, beta_star, Sigma) -> float:

@@ -56,9 +56,6 @@ class RngSeed:
         )
         return np.random.Generator(np.random.PCG64(ss))
 
-    def stream(self, index: int) -> "RngSeed":
-        return RngSeed(self.seed, index)
-
 
 @dataclass(frozen=True)
 class ErrorDist:

@@ -187,6 +187,17 @@ class TestMedianOfMeans:
             mom = median_of_means(x, num_blocks)
             assert min(means) - 1e-12 <= mom <= max(means) + 1e-12
 
+    def test_matches_array_split_blocks(self):
+        # the shared bucket layout splits exactly as np.array_split does, and
+        # each block mean is the same arithmetic, so results are bit-equal
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            num_blocks = int(rng.integers(1, n + 1))
+            x = rng.standard_cauchy(n)
+            means = [float(b.mean()) for b in np.array_split(x, num_blocks)]
+            assert median_of_means(x, num_blocks) == float(np.median(means))
+
 
 class TestPhiUniform:
     def test_reference_values(self):

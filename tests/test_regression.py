@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trimreg.estimators import TrimSpec, trimmed_mean
 from trimreg.harness import (
@@ -9,11 +11,16 @@ from trimreg.harness import (
     trial_seed,
     trim_count,
 )
+from trimreg.estimators import _bucket_layout
 from trimreg.regression import (
+    LINE_SEARCH_CAP,
     GdConfig,
     RegressorPair,
     _armijo_half_step,
     _loss_diffs,
+    _median_buckets,
+    _mom_descent,
+    _mom_layout,
     aasd,
     active_set,
     best_mom,
@@ -142,6 +149,58 @@ class TestArmijoStep:
         new, step = _armijo_half_step(X, y, beta, 4.0, 0.5)
         assert np.array_equal(new, beta)
         assert step == 4.0
+
+
+def _sse_backtrack(XI, yI, beta, step, theta):
+    """Reference line search: evaluates the SSE at every tried step.
+
+    Also returns the tried steps, so callers can see how close each came to
+    the Armijo boundary.
+    """
+    resid = yI - XI @ beta
+    grad = -2.0 * (XI.T @ resid)
+    sse0 = float(resid @ resid)
+    tried = []
+    for _ in range(LINE_SEARCH_CAP + 1):
+        tried.append(step)
+        cand = beta - step * grad
+        r = XI @ cand - yI
+        if float(r @ r) <= sse0:
+            return cand, step, tried
+        step *= theta
+    return beta, step, tried
+
+
+# Bounded so the property tests add seconds, not minutes, to the suite.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+class TestArmijoProperties:
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        d=st.integers(1, 5),
+        log_step=st.floats(-8.0, 8.0),
+        theta=st.sampled_from([0.1, 0.5, 0.9]),
+    )
+    def test_closed_form_matches_sse_backtrack(self, seed, n, d, log_step, theta):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        y = rng.standard_normal(n)
+        beta = rng.standard_normal(d)
+        step = float(np.exp(log_step))
+        ref_beta, ref_step, tried = _sse_backtrack(X, y, beta, step, theta)
+        grad = -2.0 * (X.T @ (y - X @ beta))
+        g2 = float(grad @ grad)
+        xg2 = float((X @ grad) @ (X @ grad))
+        sse0 = float(((X @ beta - y) ** 2).sum())
+        # SSE(beta - s g) - SSE(beta) = s (s ||Xg||^2 - ||g||^2); skip draws
+        # where a tried step lands within rounding of that boundary
+        assume(all(s * abs(s * xg2 - g2) > 1e-9 * (1.0 + sse0) for s in tried))
+        new_beta, new_step = _armijo_half_step(X, y, beta, step, theta)
+        assert new_step == ref_step
+        assert np.array_equal(new_beta, ref_beta)
 
 
 class TestAasd:
@@ -274,6 +333,71 @@ class TestMomRegression:
             ols = fit_least_squares(data.X, data.y)
             ols_losses.append(loss_l2(ols, beta, data.pop_cov))
         assert np.median(bm_losses) < np.median(ols_losses)
+
+
+def _heavy_tailed_problem(seed, n, d):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = X @ np.ones(d) + rng.standard_t(1, n)
+    init = RegressorPair(rng.standard_normal(d), rng.standard_normal(d))
+    return Dataset(X=X, y=y), init
+
+
+class TestBatchedMom:
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        d=st.integers(1, 4),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+    )
+    def test_columns_match_single_candidate_runs(self, seed, n, d, picks):
+        data, init = _heavy_tailed_problem(seed, n, d)
+        Ks = [1 + p % n for p in picks]
+        cfg = GdConfig(max_iters=60)
+        Bm, BM = _mom_descent(data, Ks, cfg, init, RngSeed(seed))
+        for c, K in enumerate(Ks):
+            bm, bM = _mom_descent(data, [K], cfg, init, RngSeed(seed))
+            for batched, single in ((Bm[c], bm[0]), (BM[c], bM[0])):
+                scale = max(float(np.abs(single).max()), 1e-300)
+                assert float(np.abs(batched - single).max()) <= 1e-12 * scale
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+        levels=st.integers(1, 3),
+    )
+    def test_median_bucket_matches_brute_force_with_ties(self, seed, n, picks, levels):
+        # few distinct values and a block of zeroed rows (as Setup B's
+        # masked rows give), so bucket means tie exactly and often
+        rng = np.random.default_rng(seed)
+        Ks = [1 + p % n for p in picks]
+        diffs = rng.integers(-levels, levels + 1, size=(len(Ks), n)).astype(float)
+        diffs[:, : n // 3] = 0.0
+        starts, sizes, owner, median, _ = _mom_layout(n, Ks)
+        chosen = _median_buckets(diffs, starts, sizes, owner, median)
+        first = np.cumsum(Ks) - Ks
+        for c, K in enumerate(Ks):
+            st_K, sz_K = _bucket_layout(n, K)
+            means = np.add.reduceat(diffs[c], st_K) / sz_K
+            ranked = sorted(range(K), key=lambda j: (means[j], j))
+            assert chosen[c] - first[c] == ranked[(K - 1) // 2]
+
+    def test_stopped_candidates_stay_frozen(self):
+        # K=1 stops within 100 iterations while K=n is still moving at 400;
+        # the stopped column must still equal its own one-candidate run
+        data, init = _heavy_tailed_problem(4, 30, 3)
+        early, late = (
+            _mom_descent(data, [1, 30], GdConfig(max_iters=it), init, RngSeed(4))
+            for it in (100, 400)
+        )
+        assert np.array_equal(early[0][0], late[0][0])
+        assert not np.array_equal(early[0][1], late[0][1])
+        bm, bM = _mom_descent(data, [1], GdConfig(max_iters=400), init, RngSeed(4))
+        assert np.allclose(late[0][0], bm[0], rtol=1e-12, atol=0)
+        assert np.allclose(late[1][0], bM[0], rtol=1e-12, atol=0)
 
 
 class TestBestMom:
