@@ -187,13 +187,10 @@ def c_j_epsilon_curve(
     """
     rows = []
     for eps in eps_grid:
-        if eps == 0.0:
-            ratio = float(1 + num_unbounded)
-        else:
-            ratio = eps / default_eps_bar(eps, num_unbounded)
-        t_list = [int(v) for v in t]
-        value = 192.0 * (1.0 + sum(t_list) / t_list[j] + ratio)
-        rows.append((float(eps), value))
+        eps_bar = default_eps_bar(eps, num_unbounded)  # also checks eps and b
+        # At eps = 0 take the limit from above, where eps/eps_bar = 1 + b.
+        terms = (1.0 + num_unbounded, 1.0) if eps == 0.0 else (eps, eps_bar)
+        rows.append((float(eps), c_j_epsilon(t, j, *terms)))
     return rows
 
 

@@ -26,17 +26,21 @@ import numpy as np
 
 from . import bounds as bnd
 from .harness import (
+    COMPARISON_COLUMNS,
     DEFAULT_EPS_GRID,
+    INIT_RULES,
     METHODS,
     ExperimentConfig,
-    delta_percent,
+    comparison_rows,
     emit,
     run_experiment,
     summarize,
     table_grid_configs,
+    write_table,
+    write_text,
 )
 from .regression import PLUGIN_ITERS, GdConfig
-from .synthdata import ErrorDist
+from .synthdata import OUTLIER_RESPONSE, ErrorDist
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,8 +127,12 @@ def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
         help="bucket count for the plain MoM method "
         "(default: min(n, 2*floor(eps*n) + 5))",
     )
-    sub.add_argument("--max-iters", type=int, default=1000, help="descent iterations")
-    sub.add_argument("--tol", type=float, default=1e-4, help="descent stop tolerance")
+    sub.add_argument(
+        "--max-iters", type=int, default=GdConfig.max_iters, help="descent iterations"
+    )
+    sub.add_argument(
+        "--tol", type=float, default=GdConfig.tol_delta, help="descent stop tolerance"
+    )
     sub.add_argument(
         "--plugin-iters",
         type=int,
@@ -136,8 +144,8 @@ def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--init",
-        choices=("random", "zeros"),
-        default="random",
+        choices=INIT_RULES,
+        default=ExperimentConfig.init_rule,
         help="iterate initialization: seeded random pair or the zero pair",
     )
     sub.add_argument("--workers", type=int, default=1, help="parallel trial workers")
@@ -157,11 +165,8 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub_a = subs.add_parser(
-        "run-setup-a",
-        help="Gaussian AR(1) design with planted outlier rows",
-        fromfile_prefix_chars="@",
+        "run-setup-a", help="Gaussian AR(1) design with planted outlier rows"
     )
-    sub_a.convert_arg_line_to_args = parser.convert_arg_line_to_args
     _add_common_run_flags(sub_a)
     sub_a.add_argument("--rho", type=float, default=0.0, help="AR(1) correlation")
     sub_a.add_argument(
@@ -173,30 +178,39 @@ def build_parser() -> _Parser:
     sub_a.add_argument(
         "--outlier-y",
         type=float,
-        default=10000.0,
+        default=OUTLIER_RESPONSE,
         help="planted response value of contaminated rows",
+    )
+    sub_a.set_defaults(
+        run=_cmd_run_setup,
+        setup_fields=lambda args: dict(
+            setup="A",
+            rho=args.rho,
+            error_dist=ErrorDist.from_label(args.error),
+            outlier_response=args.outlier_y,
+        ),
     )
 
     sub_b = subs.add_parser(
         "run-setup-b",
         help="Bernoulli-masked isotropic design (missing-data caricature)",
-        fromfile_prefix_chars="@",
     )
-    sub_b.convert_arg_line_to_args = parser.convert_arg_line_to_args
     _add_common_run_flags(sub_b)
     sub_b.add_argument("--p", type=float, default=0.3, help="mask rate in (0, 1]")
+    sub_b.set_defaults(
+        run=_cmd_run_setup, setup_fields=lambda args: dict(setup="B", p=args.p)
+    )
 
     sub_c = subs.add_parser(
         "compare-algs",
         help="fixed grid comparing the two trimmed-mean heuristics",
-        fromfile_prefix_chars="@",
     )
-    sub_c.convert_arg_line_to_args = parser.convert_arg_line_to_args
     sub_c.add_argument("--trials", type=int, default=240)
     sub_c.add_argument("--seed", type=int, default=0)
     sub_c.add_argument("--workers", type=int, default=1)
     sub_c.add_argument("--out", required=True)
     sub_c.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub_c.set_defaults(run=_cmd_compare_algs)
 
     sub_d = subs.add_parser(
         "bounds",
@@ -213,9 +227,7 @@ def build_parser() -> _Parser:
             "default deltas for --theta0"
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        fromfile_prefix_chars="@",
     )
-    sub_d.convert_arg_line_to_args = parser.convert_arg_line_to_args
     sub_d.add_argument("--out", required=True)
     sub_d.add_argument(
         "--eps-step", type=float, default=0.005, help="grid step over [0, 0.5)"
@@ -235,6 +247,7 @@ def build_parser() -> _Parser:
     sub_d.add_argument(
         "--n-max", type=int, default=1000000, help="largest n in the slices"
     )
+    sub_d.set_defaults(run=_cmd_bounds)
     return parser
 
 
@@ -266,51 +279,28 @@ def _config_metadata(config: ExperimentConfig) -> dict:
     }
 
 
-def _write_metadata(path: str, meta: dict) -> str:
-    target = os.path.join(path, "metadata.json")
-    with open(target, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return target
-
-
-def _run_and_emit(config: ExperimentConfig, args) -> int:
-    records = run_experiment(config, workers=args.workers)
-    stats = summarize(records)
-    written = emit(records, stats, args.out, args.format)
-    written.append(_write_metadata(args.out, _config_metadata(config)))
+def _report(written: List[str]) -> int:
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
-def _cmd_run_setup_a(args) -> int:
-    config = ExperimentConfig(
-        setup="A",
-        n=args.n,
-        d=args.d,
-        rho=args.rho,
-        error_dist=ErrorDist.from_label(args.error),
-        eps_grid=args.eps_grid,
-        methods=args.methods,
-        trials=args.trials,
-        base_seed=args.seed,
-        trim_extra=args.trim_extra,
-        mom_blocks=args.mom_blocks,
-        outlier_response=args.outlier_y,
-        gd=GdConfig(tol_delta=args.tol, max_iters=args.max_iters),
-        plugin_iters=args.plugin_iters,
-        init_rule=args.init,
-    )
-    return _run_and_emit(config, args)
+def _run_and_emit(args, configs, write_last) -> int:
+    """Run every config, write the trials and summary tables, then the file
+    ``write_last(stats)`` writes."""
+    records = []
+    for config in configs:
+        records.extend(run_experiment(config, workers=args.workers))
+    stats = summarize(records)
+    written = emit(records, stats, args.out, args.format)
+    written.append(write_last(stats))
+    return _report(written)
 
 
-def _cmd_run_setup_b(args) -> int:
+def _cmd_run_setup(args) -> int:
     config = ExperimentConfig(
-        setup="B",
         n=args.n,
         d=args.d,
-        p=args.p,
         eps_grid=args.eps_grid,
         methods=args.methods,
         trials=args.trials,
@@ -320,54 +310,25 @@ def _cmd_run_setup_b(args) -> int:
         gd=GdConfig(tol_delta=args.tol, max_iters=args.max_iters),
         plugin_iters=args.plugin_iters,
         init_rule=args.init,
+        **args.setup_fields(args),
     )
-    return _run_and_emit(config, args)
+    meta = json.dumps(_config_metadata(config), indent=2, sort_keys=True) + "\n"
+    path = os.path.join(args.out, "metadata.json")
+    return _run_and_emit(args, [config], lambda stats: write_text(path, meta))
 
 
 def _cmd_compare_algs(args) -> int:
-    all_records = []
-    for config in table_grid_configs(trials=args.trials, base_seed=args.seed):
-        all_records.extend(run_experiment(config, workers=args.workers))
-    all_records.sort(key=lambda r: r.sort_key)
-    stats = summarize(all_records)
-    written = emit(all_records, stats, args.out, args.format)
-
-    lines = [
-        "n,eps,error_dist,aasd_mean,aasd_std,plugin_mean,plugin_std,"
-        "delta_mean_pct,delta_std_pct"
-    ]
-    cells = sorted({k[:-1] for k in stats})
-    for cell in cells:
-        aasd_stats = stats[cell + ("TM-AASD",)]
-        plug_stats = stats[cell + ("TM-PlugIn",)]
-        _, n, _, _, eps, error = cell
-        lines.append(
-            ",".join(
-                [
-                    str(n),
-                    "%.17g" % eps,
-                    error,
-                    "%.17g" % aasd_stats.mean,
-                    "%.17g" % aasd_stats.std,
-                    "%.17g" % plug_stats.mean,
-                    "%.17g" % plug_stats.std,
-                    "%d" % int(delta_percent(aasd_stats.mean, plug_stats.mean)),
-                    "%d" % int(delta_percent(aasd_stats.std, plug_stats.std)),
-                ]
-            )
-        )
-    comparison = os.path.join(args.out, "comparison.csv")
-    with open(comparison, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    written.append(comparison)
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    configs = table_grid_configs(trials=args.trials, base_seed=args.seed)
+    path = os.path.join(args.out, "comparison.csv")
+    return _run_and_emit(
+        args,
+        configs,
+        lambda stats: write_table(path, COMPARISON_COLUMNS, comparison_rows(stats)),
+    )
 
 
 def _cmd_bounds(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    written = []
 
     step = args.eps_step
     if not 0.0 < step < 0.5:
@@ -378,27 +339,11 @@ def _cmd_bounds(args) -> int:
         eps_grid.append(round(eps, 12))
         eps += step
 
-    path = os.path.join(args.out, "c_epsilon_curve.csv")
-    rows = ["eps,c_epsilon"]
-    rows += ["%.17g,%.17g" % (e, bnd.c_epsilon(e)) for e in eps_grid]
-    _write_lines(path, rows)
-    written.append(path)
-
-    path = os.path.join(args.out, "c_j_epsilon_curve.csv")
-    rows = ["eps,c_j_epsilon"]
-    rows += [
-        "%.17g,%.17g" % (e, c) for e, c in bnd.c_j_epsilon_curve(eps_grid)
-    ]
-    _write_lines(path, rows)
-    written.append(path)
-
     n_grid = sorted(
         {int(n) for n in np.logspace(1, math.log10(args.n_max), 61).round()}
     )
 
-    path = os.path.join(args.out, "phi_p_uniform_slice.csv")
-    rows = ["n,phi_p_uniform"]
-    for n in n_grid:
+    def uniform_row(n):
         inputs = bnd.UniformBoundInputs(
             emp=args.slice_emp,
             nu=args.slice_nu,
@@ -406,13 +351,9 @@ def _cmd_bounds(args) -> int:
             eps=args.slice_eps,
             alpha=args.slice_alpha,
         )
-        rows.append("%d,%.17g" % (n, bnd.phi_p_uniform(inputs)))
-    _write_lines(path, rows)
-    written.append(path)
+        return n, bnd.phi_p_uniform(inputs)
 
-    path = os.path.join(args.out, "phi_p_regression_slice.csv")
-    rows = ["n,r_q,r_m_bound,phi_p_regression"]
-    for n in n_grid:
+    def regression_row(n):
         radii = bnd.critical_radii_linear(
             args.trace_sigma,
             args.sigma_noise,
@@ -429,36 +370,39 @@ def _cmd_bounds(args) -> int:
             eps=args.slice_eps,
             alpha=args.slice_alpha,
         )
-        rows.append(
-            "%d,%.17g,%.17g,%.17g"
-            % (n, radii.r_q, radii.r_m_bound, bnd.phi_p_regression(inputs))
-        )
-    _write_lines(path, rows)
-    written.append(path)
+        return n, radii.r_q, radii.r_m_bound, bnd.phi_p_regression(inputs)
 
-    for p in written:
-        print(f"wrote {p}")
-    return 0
+    def out(name):
+        return os.path.join(args.out, name)
 
-
-def _write_lines(path: str, lines: List[str]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-_COMMANDS = {
-    "run-setup-a": _cmd_run_setup_a,
-    "run-setup-b": _cmd_run_setup_b,
-    "compare-algs": _cmd_compare_algs,
-    "bounds": _cmd_bounds,
-}
+    return _report([
+        write_table(
+            out("c_epsilon_curve.csv"),
+            ("eps", "c_epsilon"),
+            [(e, bnd.c_epsilon(e)) for e in eps_grid],
+        ),
+        write_table(
+            out("c_j_epsilon_curve.csv"),
+            ("eps", "c_j_epsilon"),
+            bnd.c_j_epsilon_curve(eps_grid),
+        ),
+        write_table(
+            out("phi_p_uniform_slice.csv"),
+            ("n", "phi_p_uniform"),
+            map(uniform_row, n_grid),
+        ),
+        write_table(
+            out("phi_p_regression_slice.csv"),
+            ("n", "r_q", "r_m_bound", "phi_p_regression"),
+            map(regression_row, n_grid),
+        ),
+    ])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

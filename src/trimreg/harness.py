@@ -15,7 +15,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,6 +59,12 @@ __all__ = [
     "run_experiment",
     "summarize",
     "delta_percent",
+    "TRIAL_COLUMNS",
+    "SUMMARY_COLUMNS",
+    "COMPARISON_COLUMNS",
+    "comparison_rows",
+    "write_table",
+    "write_text",
     "emit",
     "load_records_json",
     "table_grid_configs",
@@ -75,12 +82,6 @@ _STREAM_MOM = 2
 _STREAM_INIT = 3
 
 INIT_RULES = ("random", "zeros")
-
-TRIALS_HEADER = "setup,n,d,rho_or_p,eps,error_dist,method,trial,seed,loss"
-SUMMARY_HEADER = (
-    "setup,n,d,rho_or_p,eps,error_dist,method,mean,std,min,q1,median,q3,max"
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -205,6 +206,17 @@ class SummaryStats:
             q3=q3,
             max=float(arr.max()),
         )
+
+
+# Columns of the experiment tables. A trial row is its record's compared
+# fields (wall_time is not); a summary row is the group key, i.e. the first
+# seven trial columns, followed by the statistics.
+TRIAL_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.compare)
+SUMMARY_COLUMNS = TRIAL_COLUMNS[:7] + tuple(f.name for f in fields(SummaryStats))
+COMPARISON_COLUMNS = (
+    "n", "eps", "error_dist", "aasd_mean", "aasd_std", "plugin_mean",
+    "plugin_std", "delta_mean_pct", "delta_std_pct",
+)
 
 
 def trial_seed(
@@ -392,10 +404,54 @@ def delta_percent(aasd_mean: float, plugin_mean: float) -> float:
     return 100.0 * (plugin_mean - aasd_mean) / aasd_mean
 
 
+def comparison_rows(stats: Dict[tuple, SummaryStats]) -> List[tuple]:
+    """Rows under COMPARISON_COLUMNS: TM-AASD against TM-PlugIn per cell,
+    with the percentage differences truncated toward zero."""
+    rows = []
+    for cell in sorted({key[:-1] for key in stats}):
+        aasd_stats = stats[cell + ("TM-AASD",)]
+        plug_stats = stats[cell + ("TM-PlugIn",)]
+        _, n, _, _, eps, error = cell
+        rows.append((
+            n, eps, error,
+            aasd_stats.mean, aasd_stats.std, plug_stats.mean, plug_stats.std,
+            int(delta_percent(aasd_stats.mean, plug_stats.mean)),
+            int(delta_percent(aasd_stats.std, plug_stats.std)),
+        ))
+    return rows
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return "%.17g" % value
     return str(value)
+
+
+def write_table(path, columns: Sequence[str], rows, format: str = "csv") -> str:
+    """Write ``rows`` (value tuples in ``columns`` order) and return ``path``.
+
+    CSV has a header line; floats carry 17 significant digits, other values
+    are written with ``str``. JSON is a compact list of objects with sorted
+    keys.
+    """
+    if format == "csv":
+        lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        objects = [dict(zip(columns, row)) for row in rows]
+        text = json.dumps(objects, sort_keys=True, separators=(",", ":")) + "\n"
+    return write_text(path, text)
+
+
+def write_text(path, text: str) -> str:
+    """Write ASCII ``text`` with LF line ends to ``path`` and return ``path``;
+    an OSError names the path."""
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"failed to write {path}: {exc}") from exc
+    return path
 
 
 def emit(
@@ -406,131 +462,23 @@ def emit(
 ) -> List[str]:
     """Write trials and summary files under ``path``; returns written paths.
 
-    CSV columns follow the fixed headers; floats carry 17 significant
-    digits; rows are sorted by (cell, method, trial). JSON carries the same
-    fields and round-trips through load_records_json.
+    Columns are TRIAL_COLUMNS and SUMMARY_COLUMNS, in the format of
+    write_table; rows are sorted by (cell, method, trial). JSON round-trips
+    through load_records_json.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     os.makedirs(path, exist_ok=True)
-    ordered = sorted(records, key=lambda r: r.sort_key)
-    written = []
-    if format == "csv":
-        trials_path = os.path.join(path, "trials.csv")
-        _write_text(trials_path, _trials_csv(ordered))
-        summary_path = os.path.join(path, "summary.csv")
-        _write_text(summary_path, _summary_csv(stats))
-        written = [trials_path, summary_path]
-    else:
-        trials_path = os.path.join(path, "trials.json")
-        _write_text(trials_path, _records_json(ordered))
-        summary_path = os.path.join(path, "summary.json")
-        _write_text(summary_path, _summary_json(stats))
-        written = [trials_path, summary_path]
-    return written
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"failed to write {path}: {exc}") from exc
-
-
-def _trials_csv(records: Sequence[TrialRecord]) -> str:
-    lines = [TRIALS_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    r.setup,
-                    str(r.n),
-                    str(r.d),
-                    _fmt(r.rho_or_p),
-                    _fmt(r.eps),
-                    r.error_dist,
-                    r.method,
-                    str(r.trial),
-                    str(r.seed),
-                    _fmt(r.loss),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _summary_csv(stats: Dict[tuple, SummaryStats]) -> str:
-    lines = [SUMMARY_HEADER]
-    for key in sorted(stats):
-        setup, n, d, rho_or_p, eps, error_dist, method = key
-        s = stats[key]
-        lines.append(
-            ",".join(
-                [
-                    setup,
-                    str(n),
-                    str(d),
-                    _fmt(rho_or_p),
-                    _fmt(eps),
-                    error_dist,
-                    method,
-                    _fmt(s.mean),
-                    _fmt(s.std),
-                    _fmt(s.min),
-                    _fmt(s.q1),
-                    _fmt(s.median),
-                    _fmt(s.q3),
-                    _fmt(s.max),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _records_json(records: Sequence[TrialRecord]) -> str:
-    rows = [
-        {
-            "setup": r.setup,
-            "n": r.n,
-            "d": r.d,
-            "rho_or_p": r.rho_or_p,
-            "eps": r.eps,
-            "error_dist": r.error_dist,
-            "method": r.method,
-            "trial": r.trial,
-            "seed": r.seed,
-            "loss": r.loss,
-        }
-        for r in records
+    trial_row = attrgetter(*TRIAL_COLUMNS)
+    stat_values = attrgetter(*SUMMARY_COLUMNS[7:])
+    trial_rows = [trial_row(r) for r in sorted(records, key=lambda r: r.sort_key)]
+    summary_rows = [key + stat_values(stats[key]) for key in sorted(stats)]
+    trials = os.path.join(path, f"trials.{format}")
+    summary = os.path.join(path, f"summary.{format}")
+    return [
+        write_table(trials, TRIAL_COLUMNS, trial_rows, format),
+        write_table(summary, SUMMARY_COLUMNS, summary_rows, format),
     ]
-    return json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _summary_json(stats: Dict[tuple, SummaryStats]) -> str:
-    rows = []
-    for key in sorted(stats):
-        setup, n, d, rho_or_p, eps, error_dist, method = key
-        s = stats[key]
-        rows.append(
-            {
-                "setup": setup,
-                "n": n,
-                "d": d,
-                "rho_or_p": rho_or_p,
-                "eps": eps,
-                "error_dist": error_dist,
-                "method": method,
-                "mean": s.mean,
-                "std": s.std,
-                "min": s.min,
-                "q1": s.q1,
-                "median": s.median,
-                "q3": s.q3,
-                "max": s.max,
-            }
-        )
-    return json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def load_records_json(path) -> List[TrialRecord]:

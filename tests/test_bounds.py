@@ -109,6 +109,18 @@ class TestCJEpsilon:
         (_, near_half), = c_j_epsilon_curve([0.499])
         assert near_half > 100_000.0
 
+    def test_curve_calls_c_j_epsilon(self):
+        t, j, b = (2, 3), 1, 2
+        grid = [0.01, 0.1, 0.25, 0.3, 0.45]
+        for eps, value in c_j_epsilon_curve(grid, t, j, b):
+            assert value == c_j_epsilon(t, j, eps, default_eps_bar(eps, b))
+        (_, at_zero), = c_j_epsilon_curve([0.0], t, j, b)
+        assert at_zero == 192.0 * (1.0 + 5 / 3 + 3.0)  # limit from above
+        with pytest.raises(ValueError):
+            c_j_epsilon_curve([0.1], t, 2, b)
+        with pytest.raises(ValueError):
+            c_j_epsilon_curve([0.0], (1, 0), 0, b)
+
 
 class TestPhiRegression:
     def test_reference_value(self):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from trimreg.cli import main
+from trimreg.cli import build_parser, main
 
 
 def test_run_setup_a_writes_outputs(tmp_path, capsys):
@@ -78,6 +78,49 @@ def test_config_file_flag_override(tmp_path):
     assert code == 0
     lines = (out / "trials.csv").read_text().strip().split("\n")
     assert len(lines) == 2  # the command-line trial count wins
+
+
+def test_config_file_compare_algs(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("trials = 2\nseed = 5  # base seed\nformat = json\n")
+    args = build_parser().parse_args(
+        ["compare-algs", f"@{cfg}", "--out", str(tmp_path)]
+    )
+    assert (args.trials, args.seed, args.format) == (2, 5, "json")
+
+
+def test_config_file_bounds(tmp_path):
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text(
+        "eps_step = 0.1\n"
+        "n-max = 1000\n"
+        "slice-nu = 2:1,4:1.5  # moment profile\n"
+        f"out = {tmp_path / 'b'}\n"
+    )
+    assert main(["bounds", f"@{cfg}"]) == 0
+    ce = (tmp_path / "b" / "c_epsilon_curve.csv").read_text().strip().split("\n")
+    assert [ln.split(",")[0] for ln in ce[1:]] == ["0", "0.10000000000000001",
+                                                   "0.20000000000000001",
+                                                   "0.29999999999999999",
+                                                   "0.40000000000000002"]
+    slice_u = (tmp_path / "b" / "phi_p_uniform_slice.csv").read_text().split("\n")
+    assert slice_u[-2].startswith("1000,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run-setup-b", "--n", "20", "--d", "2", "--eps-grid", "0",
+         "--methods", "OLS", "--trials", "1"],
+        ["bounds", "--n-max", "100"],
+    ],
+)
+def test_out_is_a_regular_file_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "taken"
+    target.write_text("")
+    assert main(argv + ["--out", str(target)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert target.read_text() == ""
 
 
 def test_identical_runs_are_byte_identical(tmp_path):

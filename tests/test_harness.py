@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from trimreg.harness import (
+    COMPARISON_COLUMNS,
     DEFAULT_EPS_GRID,
     ExperimentConfig,
     SummaryStats,
     TrialRecord,
+    comparison_rows,
     default_mom_blocks,
     delta_percent,
     emit,
@@ -19,6 +21,7 @@ from trimreg.harness import (
     table_grid_configs,
     trial_seed,
     trim_count,
+    write_table,
 )
 from trimreg.synthdata import ErrorDist
 
@@ -213,6 +216,88 @@ class TestEmit:
     def test_bad_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit([], {}, tmp_path, "yaml")
+
+    def test_golden_bytes(self, tmp_path):
+        # Hand-built rows, no solver: a loss of 1/3, an inf loss, a seed of
+        # 2^63 + 5, eps 0.0 and one Setup-B row, given out of order.
+        seed = 2**63 + 5
+        recs = [
+            TrialRecord("B", 40, 3, 0.3, 0.2, "normal", "OLS", 1, 7, 2.0),
+            TrialRecord("A", 10, 2, 0.5, 0.0, "t1", "TM-PlugIn", 0, seed, math.inf,
+                        wall_time=0.25),
+            TrialRecord("A", 10, 2, 0.5, 0.0, "t1", "OLS", 0, seed, 1.0 / 3.0),
+        ]
+        third, inf = 1.0 / 3.0, math.inf
+        stats = {
+            ("B", 40, 3, 0.3, 0.2, "normal", "OLS"):
+                SummaryStats(1.5, 0.25, 1.0, 1.25, 1.5, 1.75, 2.0),
+            ("A", 10, 2, 0.5, 0.0, "t1", "TM-PlugIn"):
+                SummaryStats(inf, 0.0, inf, inf, inf, inf, inf),
+            ("A", 10, 2, 0.5, 0.0, "t1", "OLS"):
+                SummaryStats(third, 0.0, third, third, third, third, third),
+        }
+        emit(recs, stats, tmp_path, "csv")
+        emit(recs, stats, tmp_path, "json")
+        t = "0.33333333333333331"
+        expected = {
+            "trials.csv": (
+                "setup,n,d,rho_or_p,eps,error_dist,method,trial,seed,loss\n"
+                f"A,10,2,0.5,0,t1,OLS,0,9223372036854775813,{t}\n"
+                "A,10,2,0.5,0,t1,TM-PlugIn,0,9223372036854775813,inf\n"
+                "B,40,3,0.29999999999999999,0.20000000000000001,normal,OLS,1,7,2\n"
+            ),
+            "summary.csv": (
+                "setup,n,d,rho_or_p,eps,error_dist,method,"
+                "mean,std,min,q1,median,q3,max\n"
+                f"A,10,2,0.5,0,t1,OLS,{t},0,{t},{t},{t},{t},{t}\n"
+                "A,10,2,0.5,0,t1,TM-PlugIn,inf,0,inf,inf,inf,inf,inf\n"
+                "B,40,3,0.29999999999999999,0.20000000000000001,normal,OLS,"
+                "1.5,0.25,1,1.25,1.5,1.75,2\n"
+            ),
+            "trials.json": (
+                '[{"d":2,"eps":0.0,"error_dist":"t1","loss":0.3333333333333333,'
+                '"method":"OLS","n":10,"rho_or_p":0.5,"seed":9223372036854775813,'
+                '"setup":"A","trial":0},'
+                '{"d":2,"eps":0.0,"error_dist":"t1","loss":Infinity,'
+                '"method":"TM-PlugIn","n":10,"rho_or_p":0.5,'
+                '"seed":9223372036854775813,"setup":"A","trial":0},'
+                '{"d":3,"eps":0.2,"error_dist":"normal","loss":2.0,'
+                '"method":"OLS","n":40,"rho_or_p":0.3,"seed":7,"setup":"B","trial":1}]\n'
+            ),
+            "summary.json": (
+                '[{"d":2,"eps":0.0,"error_dist":"t1","max":0.3333333333333333,'
+                '"mean":0.3333333333333333,"median":0.3333333333333333,'
+                '"method":"OLS","min":0.3333333333333333,"n":10,'
+                '"q1":0.3333333333333333,"q3":0.3333333333333333,'
+                '"rho_or_p":0.5,"setup":"A","std":0.0},'
+                '{"d":2,"eps":0.0,"error_dist":"t1","max":Infinity,'
+                '"mean":Infinity,"median":Infinity,"method":"TM-PlugIn",'
+                '"min":Infinity,"n":10,"q1":Infinity,"q3":Infinity,'
+                '"rho_or_p":0.5,"setup":"A","std":0.0},'
+                '{"d":3,"eps":0.2,"error_dist":"normal","max":2.0,"mean":1.5,'
+                '"median":1.5,"method":"OLS","min":1.0,"n":40,"q1":1.25,'
+                '"q3":1.75,"rho_or_p":0.3,"setup":"B","std":0.25}]\n'
+            ),
+        }
+        for name, text in expected.items():
+            assert (tmp_path / name).read_bytes() == text.encode("ascii"), name
+
+    def test_comparison_row_truncates_toward_zero(self, tmp_path):
+        cell = ("A", 120, 20, 0.0, 0.05, "t1")
+        stats = {
+            cell + ("TM-AASD",): SummaryStats(0.725, 0.5, 0.1, 0.2, 0.7, 0.9, 1.5),
+            cell + ("TM-PlugIn",): SummaryStats(0.581, 0.25, 0.1, 0.2, 0.5, 0.7, 1.0),
+        }
+        path = write_table(
+            tmp_path / "comparison.csv", COMPARISON_COLUMNS, comparison_rows(stats)
+        )
+        assert (tmp_path / "comparison.csv").read_bytes() == (
+            b"n,eps,error_dist,aasd_mean,aasd_std,plugin_mean,plugin_std,"
+            b"delta_mean_pct,delta_std_pct\n"
+            b"120,0.050000000000000003,t1,0.72499999999999998,0.5,"
+            b"0.58099999999999996,0.25,-19,-50\n"
+        )
+        assert path == tmp_path / "comparison.csv"
 
 
 def test_wall_time_ignored_in_equality():
