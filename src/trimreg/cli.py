@@ -318,6 +318,9 @@ def _cmd_run_setup(args) -> int:
 
 
 def _cmd_compare_algs(args) -> int:
+    if args.trials < 2:
+        # with one trial every std is 0, and delta_std_pct divides by it
+        raise ValueError(f"compare-algs needs --trials >= 2, got {args.trials}")
     configs = table_grid_configs(trials=args.trials, base_seed=args.seed)
     path = os.path.join(args.out, "comparison.csv")
     return _run_and_emit(

@@ -195,8 +195,15 @@ class SummaryStats:
         arr = np.asarray(losses, dtype=float)
         if arr.size == 0:
             raise ValueError("cannot summarize an empty group")
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        q1, med, q3 = (float(q) for q in np.percentile(arr, [25.0, 50.0, 75.0]))
+        if np.isfinite(arr).all():
+            std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+            q1, med, q3 = (float(q) for q in np.percentile(arr, [25.0, 50.0, 75.0]))
+        else:
+            # a failed fit's loss is inf, which numpy's std and interpolation
+            # turn into nan
+            std = math.inf if arr.size > 1 else 0.0
+            ordered = np.sort(arr)
+            q1, med, q3 = (_quartile_with_inf(ordered, q) for q in (0.25, 0.5, 0.75))
         return cls(
             mean=float(arr.mean()),
             std=std,
@@ -206,6 +213,21 @@ class SummaryStats:
             q3=q3,
             max=float(arr.max()),
         )
+
+
+def _quartile_with_inf(ordered: np.ndarray, q: float) -> float:
+    """Type-7 quantile (numpy's default) of sorted losses that hold an inf.
+
+    At an integer position it is that order statistic, and a quantile that
+    interpolates toward an inf is inf.
+    """
+    pos = (ordered.size - 1) * q
+    lo = math.floor(pos)
+    if pos == lo:
+        return float(ordered[lo])
+    if math.isinf(ordered[lo + 1]):
+        return math.inf
+    return float(np.percentile(ordered, 100.0 * q))
 
 
 # Columns of the experiment tables. A trial row is its record's compared

@@ -49,20 +49,21 @@ CONCENTRATION_CAP = 60
 # well before it.
 PLUGIN_ITERS = 100
 
+# Step size each descent starts from, for beta_m and beta_M alike.
+INITIAL_STEP = 1.0
+
 
 @dataclass(frozen=True)
 class GdConfig:
-    """Step-size and stopping parameters for the alternating descent loops."""
+    """Step-shrink and stopping parameters; both steps start at INITIAL_STEP."""
 
     tol_delta: float = 1e-4
-    eta0: float = 1.0
-    xi0: float = 1.0
     theta: float = 0.5
     max_iters: int = 1000
 
     def __post_init__(self) -> None:
-        if not (self.tol_delta > 0 and self.eta0 > 0 and self.xi0 > 0):
-            raise ValueError("tol_delta, eta0 and xi0 must be positive")
+        if not self.tol_delta > 0:
+            raise ValueError("tol_delta must be positive")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if self.max_iters < 1:
@@ -115,29 +116,23 @@ def _loss_diffs(X, y, beta_m, beta_M) -> np.ndarray:
     return rm * rm - rM * rM
 
 
-def _active_indices(X, y, beta_m, beta_M, k: int) -> np.ndarray:
+def _active_indices(diffs: np.ndarray, k: int) -> np.ndarray:
     """Indices surviving removal of the k largest and k smallest loss diffs.
 
     Ties resolve by stable sort on (value, original index).
     """
-    n = y.shape[0]
+    n = diffs.shape[0]
     if k == 0:
         return np.arange(n)
-    order = np.argsort(_loss_diffs(X, y, beta_m, beta_M), kind="stable")
-    keep = order[k : n - k]
+    keep = np.argsort(diffs, kind="stable")[k : n - k]
     keep.sort()
     return keep
 
 
 def active_set(pair: RegressorPair, data: Dataset, k: int) -> np.ndarray:
     """Sorted indices over which the trimmed loss difference is a plain mean."""
-    _check_trim(k, data.n)
-    return _active_indices(data.X, data.y, pair.beta_m, pair.beta_M, k)
-
-
-def _check_trim(k: int, n: int) -> None:
-    if k < 0 or 2 * k >= n:
-        raise ValueError(f"need 0 <= 2k < n, got k={k}, n={n}")
+    TrimSpec(k, data.n)  # raises unless 0 <= k and 2k < n
+    return _active_indices(_loss_diffs(data.X, data.y, pair.beta_m, pair.beta_M), k)
 
 
 def _armijo_step(step: float, g2: float, xg2: float, theta: float):
@@ -185,28 +180,32 @@ def aasd(
     Each iteration grows the step size by 1/theta, recomputes the active set,
     descends beta_m on the frozen active-set SSE with backtracking, then
     recomputes the active set with the updated beta_m and applies the
-    symmetric update to beta_M. Stops when the larger iterate movement drops
-    to tol_delta, or after max_iters iterations. beta_m is the regression
-    estimate.
+    symmetric update to beta_M. Both residual vectors are kept, so a
+    half-step recomputes only its own player's. Stops when the larger
+    iterate movement drops to tol_delta, or after max_iters iterations.
+    beta_m is the regression estimate.
     """
     cfg = cfg or GdConfig()
     X, y = data.X, data.y
     n, d = X.shape
-    _check_trim(k, n)
+    TrimSpec(k, n)  # raises unless 0 <= k and 2k < n
     if init is None:
         init = RegressorPair.zeros(d)
     beta_m = init.beta_m.copy()
     beta_M = init.beta_M.copy()
-    eta = cfg.eta0
-    xi = cfg.xi0
+    rm = X @ beta_m - y
+    rM = X @ beta_M - y
+    eta = xi = INITIAL_STEP
     for _ in range(cfg.max_iters):
         eta /= cfg.theta
-        idx = _active_indices(X, y, beta_m, beta_M, k)
+        idx = _active_indices(rm * rm - rM * rM, k)
         new_m, eta = _armijo_half_step(X[idx], y[idx], beta_m, eta, cfg.theta)
+        rm = X @ new_m - y
 
         xi /= cfg.theta
-        idx = _active_indices(X, y, new_m, beta_M, k)
+        idx = _active_indices(rm * rm - rM * rM, k)
         new_M, xi = _armijo_half_step(X[idx], y[idx], beta_M, xi, cfg.theta)
+        rM = X @ new_M - y
 
         delta = max(
             float(np.linalg.norm(beta_m - new_m)),
@@ -218,39 +217,37 @@ def aasd(
     return RegressorPair(beta_m, beta_M)
 
 
-def _trimmed_objective(X, y, beta_m, beta_M, k: int) -> float:
-    """T_k(l(beta_m) - l(beta_M)) over all rows: the min-max objective."""
-    return trimmed_mean(_loss_diffs(X, y, beta_m, beta_M), TrimSpec(k, y.shape[0]))
+def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M):
+    """(T_k(l(beta_m) - l(beta_M)), active set) from one loss-difference vector."""
+    diffs = _loss_diffs(X, y, beta_m, beta_M)
+    return trimmed_mean(diffs, spec), _active_indices(diffs, spec.k)
 
 
-def _refit_half_step(X, y, k: int, beta, other, minimize: bool, value: float):
-    """One player's move in the plug-in heuristic; returns (beta, objective).
+def _refit_half_step(X, y, spec: TrimSpec, beta, other, minimize: bool, current):
+    """One player's move in the plug-in heuristic; returns (beta, evaluation).
 
     The player owns ``beta`` and faces ``other``: beta_m minimizes the
-    objective and beta_M maximizes it; ``value`` is the objective at the
-    current pair. From ``beta`` a chain of concentration steps runs, each an
-    exact least-squares refit on the active set of the previous chain
-    point. The first refit that does not move the objective against the
-    player replaces ``beta``. The chain gives up and keeps ``beta`` once a
-    refit after the first fails to improve on its predecessor, or after
-    CONCENTRATION_CAP refits.
+    objective and beta_M maximizes it; ``current`` is the evaluation (see
+    _evaluate) of the current pair. From ``beta`` a chain of concentration
+    steps runs, each an exact least-squares refit on the active set of the
+    previous chain point. The first refit that does not move the objective
+    against the player replaces ``beta``. The chain gives up and keeps
+    ``beta`` once a refit after the first fails to improve on its
+    predecessor, or after CONCENTRATION_CAP refits.
     """
     sign = 1.0 if minimize else -1.0
-
-    def as_pair(b):
-        return (b, other) if minimize else (other, b)
-
-    point, point_value = beta, value
+    value = current[0]
+    point_value, idx = current
     for step in range(CONCENTRATION_CAP):
-        idx = _active_indices(X, y, *as_pair(point), k)
         cand = fit_least_squares(X[idx], y[idx])
-        cand_value = _trimmed_objective(X, y, *as_pair(cand), k)
+        pair = (cand, other) if minimize else (other, cand)
+        cand_value, cand_idx = _evaluate(X, y, spec, *pair)
         if sign * cand_value <= sign * value:
-            return cand, cand_value
+            return cand, (cand_value, cand_idx)
         if step > 0 and sign * cand_value >= sign * point_value:
             break
-        point, point_value = cand, cand_value
-    return beta, value
+        point_value, idx = cand_value, cand_idx
+    return beta, current
 
 
 def plug_in(
@@ -282,17 +279,17 @@ def plug_in(
     """
     X, y = data.X, data.y
     n, d = X.shape
-    _check_trim(k, n)
+    spec = TrimSpec(k, n)
     if iters < 1:
         raise ValueError("iters must be a positive integer")
     if init is None:
         init = RegressorPair.zeros(d)
     beta_m = init.beta_m.copy()
     beta_M = init.beta_M.copy()
-    value = _trimmed_objective(X, y, beta_m, beta_M, k)
+    current = _evaluate(X, y, spec, beta_m, beta_M)
     for _ in range(iters):
-        new_m, value = _refit_half_step(X, y, k, beta_m, beta_M, True, value)
-        new_M, value = _refit_half_step(X, y, k, beta_M, new_m, False, value)
+        new_m, current = _refit_half_step(X, y, spec, beta_m, beta_M, True, current)
+        new_M, current = _refit_half_step(X, y, spec, beta_M, new_m, False, current)
         fixed = np.array_equal(new_m, beta_m) and np.array_equal(new_M, beta_M)
         beta_m, beta_M = new_m, new_M
         if fixed:
@@ -375,8 +372,8 @@ def _mom_descent(
     out_m, out_M = np.empty_like(Bm), np.empty_like(BM)
     Rm = _rowwise(Bm, XsT) - ys
     RM = _rowwise(BM, XsT) - ys
-    eta = np.full(Ks.size, cfg.eta0)
-    xi = np.full(Ks.size, cfg.xi0)
+    eta = np.full(Ks.size, INITIAL_STEP)
+    xi = np.full(Ks.size, INITIAL_STEP)
     layout = _mom_layout(n, Ks)
 
     def half_step(B, R, step, diffs, layout):

@@ -146,6 +146,14 @@ def test_compare_algs_emits_delta_table(tmp_path):
     assert len(lines) == 1 + 16  # {120,360} x {0.05,0.2} x 4 error dists
 
 
+def test_compare_algs_one_trial_exits_2_before_running(tmp_path, capsys):
+    # one trial per cell makes every std 0, and delta_std_pct divides by it
+    out = tmp_path / "cmp"
+    assert main(["compare-algs", "--trials", "1", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_subcommand(tmp_path):
     out = tmp_path / "bounds"
     code = main(["bounds", "--out", str(out), "--eps-step", "0.01", "--n-max", "10000"])

@@ -164,6 +164,26 @@ class TestSummarize:
         s = SummaryStats.from_losses(rng.standard_cauchy(101) ** 2)
         assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
 
+    @pytest.mark.filterwarnings("error")
+    def test_failed_fit_alone(self):
+        s = SummaryStats.from_losses([math.inf])
+        assert (s.mean, s.std, s.min, s.max) == (math.inf, 0.0, math.inf, math.inf)
+        assert (s.q1, s.median, s.q3) == (math.inf, math.inf, math.inf)
+
+    @pytest.mark.filterwarnings("error")
+    def test_failed_fit_beside_one_loss(self):
+        # every quartile interpolates toward the inf
+        s = SummaryStats.from_losses([1.0, math.inf])
+        assert (s.q1, s.median, s.q3) == (math.inf, math.inf, math.inf)
+        assert (s.min, s.max, s.std) == (1.0, math.inf, math.inf)
+
+    @pytest.mark.filterwarnings("error")
+    def test_failed_fit_keeps_order_statistics(self):
+        # type-7 positions 1, 2 and 3 are integers: q3 is exactly 4
+        s = SummaryStats.from_losses([1.0, 2.0, 3.0, 4.0, math.inf])
+        assert (s.q1, s.median, s.q3) == (2.0, 3.0, 4.0)
+        assert (s.mean, s.std) == (math.inf, math.inf)
+
     def test_delta_percent_matches_comparison_table(self):
         assert math.trunc(delta_percent(0.725, 0.581)) == -19
 

@@ -13,6 +13,7 @@ from trimreg.harness import (
 )
 from trimreg.estimators import _bucket_layout
 from trimreg.regression import (
+    CONCENTRATION_CAP,
     LINE_SEARCH_CAP,
     GdConfig,
     RegressorPair,
@@ -30,7 +31,15 @@ from trimreg.regression import (
     mom_regression,
     plug_in,
 )
-from trimreg.synthdata import Dataset, ErrorDist, RngSeed, contaminate_a, gen_setup_a
+from trimreg.synthdata import (
+    Dataset,
+    ErrorDist,
+    RngSeed,
+    contaminate_a,
+    contaminate_b,
+    gen_setup_a,
+    gen_setup_b,
+)
 
 
 def _clean_data(n=100, d=5, seed=0):
@@ -126,6 +135,34 @@ class TestActiveSet:
         data = _clean_data(6, 2)
         with pytest.raises(ValueError):
             active_set(RegressorPair.zeros(2), data, 3)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 120),
+        d=st.integers(1, 3),
+        levels=st.integers(1, 3),
+        zeroed=st.floats(0.0, 0.8),
+        k_frac=st.floats(0.0, 1.0),
+    )
+    def test_matches_python_trim_of_value_index_pairs(
+        self, seed, n, d, levels, zeroed, k_frac
+    ):
+        # integer data with zeroed rows, as Setup B's masked rows give: loss
+        # differences are exact integers and tie often
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-levels, levels + 1, size=(n, d)).astype(float)
+        X[rng.random(n) < zeroed] = 0.0
+        y = rng.integers(-levels, levels + 1, size=n).astype(float)
+        pair = RegressorPair(
+            rng.integers(-1, 2, size=d).astype(float),
+            rng.integers(-1, 2, size=d).astype(float),
+        )
+        k = int(k_frac * ((n - 1) // 2))
+        data = Dataset(X=X, y=y)
+        diffs = _loss_diffs(X, y, pair.beta_m, pair.beta_M).tolist()
+        ranked = sorted(range(n), key=lambda i: (diffs[i], i))
+        assert active_set(pair, data, k).tolist() == sorted(ranked[k : n - k])
 
 
 class TestArmijoStep:
@@ -284,6 +321,118 @@ class TestPlugIn:
             assert objective(pair.beta_m, pair.beta_M) >= after_m  # beta_M maximizes
             prev = pair
         assert not np.array_equal(pair.beta_m, init.beta_m)
+
+
+def _reference_active(X, y, beta_m, beta_M, k):
+    n = y.shape[0]
+    if k == 0:
+        return np.arange(n)
+    order = np.argsort(_loss_diffs(X, y, beta_m, beta_M), kind="stable")
+    keep = order[k : n - k]
+    keep.sort()
+    return keep
+
+
+def _reference_aasd(data, k, cfg, init):
+    """Reference descent: every half-step recomputes both players' loss
+    differences."""
+    X, y = data.X, data.y
+    beta_m = init.beta_m.copy()
+    beta_M = init.beta_M.copy()
+    eta = xi = 1.0
+    for _ in range(cfg.max_iters):
+        eta /= cfg.theta
+        idx = _reference_active(X, y, beta_m, beta_M, k)
+        new_m, eta = _armijo_half_step(X[idx], y[idx], beta_m, eta, cfg.theta)
+
+        xi /= cfg.theta
+        idx = _reference_active(X, y, new_m, beta_M, k)
+        new_M, xi = _armijo_half_step(X[idx], y[idx], beta_M, xi, cfg.theta)
+
+        delta = max(
+            float(np.linalg.norm(beta_m - new_m)),
+            float(np.linalg.norm(beta_M - new_M)),
+        )
+        beta_m, beta_M = new_m, new_M
+        if delta <= cfg.tol_delta:
+            break
+    return beta_m, beta_M
+
+
+def _reference_plug_in(data, k, init, iters):
+    """Reference plug-in heuristic: each pair's objective and active set are
+    computed apart, each from its own loss differences."""
+    X, y = data.X, data.y
+
+    def objective(beta_m, beta_M):
+        return trimmed_mean(_loss_diffs(X, y, beta_m, beta_M), TrimSpec(k, y.shape[0]))
+
+    def refit(beta, other, minimize, value):
+        sign = 1.0 if minimize else -1.0
+
+        def as_pair(b):
+            return (b, other) if minimize else (other, b)
+
+        point, point_value = beta, value
+        for step in range(CONCENTRATION_CAP):
+            idx = _reference_active(X, y, *as_pair(point), k)
+            cand = fit_least_squares(X[idx], y[idx])
+            cand_value = objective(*as_pair(cand))
+            if sign * cand_value <= sign * value:
+                return cand, cand_value
+            if step > 0 and sign * cand_value >= sign * point_value:
+                break
+            point, point_value = cand, cand_value
+        return beta, value
+
+    beta_m = init.beta_m.copy()
+    beta_M = init.beta_M.copy()
+    value = objective(beta_m, beta_M)
+    for _ in range(iters):
+        new_m, value = refit(beta_m, beta_M, True, value)
+        new_M, value = refit(beta_M, new_m, False, value)
+        fixed = np.array_equal(new_m, beta_m) and np.array_equal(new_M, beta_M)
+        beta_m, beta_M = new_m, new_M
+        if fixed:
+            break
+    return beta_m, beta_M
+
+
+def _masked_problem(seed, n, d):
+    # Setup B at p=0.3, eps=0.2: most rows are zero and their loss
+    # differences tie exactly
+    beta = np.ones(d)
+    clean, mask = gen_setup_b(n, d, 0.3, beta, RngSeed(seed))
+    data = contaminate_b(clean, mask, 0.2, RngSeed(seed, 1))
+    g = RngSeed(seed, 3).generator()
+    return data, RegressorPair(g.standard_normal(d), g.standard_normal(d))
+
+
+class TestOneEvaluationPerPair:
+    """aasd and plug_in give the same bits as the loops that recompute every
+    pair's loss differences."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(12, 80),
+        d=st.integers(1, 4),
+        masked=st.booleans(),
+        k_frac=st.floats(0.0, 1.0),
+    )
+    def test_same_bits_as_recomputing_loops(self, seed, n, d, masked, k_frac):
+        make = _masked_problem if masked else _heavy_tailed_problem
+        data, init = make(seed, n, d)
+        k = int(k_frac * ((n - 1) // 2))
+        cfg = GdConfig(max_iters=40)
+        got = aasd(data, k, cfg, init)
+        want_m, want_M = _reference_aasd(data, k, cfg, init)
+        assert np.array_equal(got.beta_m, want_m)
+        assert np.array_equal(got.beta_M, want_M)
+        got = plug_in(data, k, init, iters=20)
+        want_m, want_M = _reference_plug_in(data, k, init, 20)
+        assert np.array_equal(got.beta_m, want_m)
+        assert np.array_equal(got.beta_M, want_M)
 
 
 class TestMomRegression:
