@@ -4,7 +4,6 @@ from .estimators import (
     TrimSpec,
     exceedance_count,
     median_of_means,
-    phi_to_k,
     phi_uniform,
     trimmed_mean,
     truncate,
@@ -16,11 +15,9 @@ from .synthdata import (
     RngSeed,
     contaminate_a,
     contaminate_b,
-    dataset_to_csv,
     gen_setup_a,
     gen_setup_b,
     make_sigma,
-    sample_student_t,
 )
 from .regression import (
     GdConfig,

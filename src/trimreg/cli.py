@@ -139,8 +139,9 @@ def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
         default=PLUGIN_ITERS,
         help="cap on plug-in rounds; a round keeps a refit only if it moves "
         "the trimmed min-max objective its player's way (down for beta_m, "
-        "up for beta_M), and the loop stops early once a round changes "
-        f"neither iterate (default: {PLUGIN_ITERS})",
+        "up for beta_M), or leaves it equal with a smaller norm, and the "
+        "loop stops early once a round changes neither iterate "
+        f"(default: {PLUGIN_ITERS})",
     )
     sub.add_argument(
         "--init",

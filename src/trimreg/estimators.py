@@ -22,7 +22,6 @@ __all__ = [
     "exceedance_count",
     "median_of_means",
     "phi_uniform",
-    "phi_to_k",
     "uniform_trimmed_estimate",
 ]
 
@@ -146,17 +145,6 @@ def _check_phi_args(n: int, eps: float, alpha: float) -> None:
         raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
-
-def phi_to_k(phi: float, n: int) -> int:
-    """Convert a trimming level to a per-tail count, k = ceil(phi * n).
-
-    The ceiling preserves the "remove at least phi*n per tail" reading.
-    Benchmark code uses its own explicit rule k = floor(eps*n) + 5 instead.
-    """
-    if not 0.0 <= phi < 0.5:
-        raise ValueError(f"phi must lie in [0, 1/2), got {phi}")
-    return ceil_int(phi * n)
 
 
 def uniform_trimmed_estimate(samples, spec: TrimSpec) -> np.ndarray:

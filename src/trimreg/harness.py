@@ -100,9 +100,11 @@ class ExperimentConfig:
     that degeneracy while staying fully reproducible.
 
     ``plugin_iters`` caps the rounds of the plug-in heuristic. Each round
-    keeps a refit of beta_m only if it does not raise the trimmed min-max
-    objective and a refit of beta_M only if it does not lower it; the loop
-    stops early at the fixed point, where a round changes neither iterate.
+    keeps a refit of beta_m if it lowers the trimmed min-max objective and
+    a refit of beta_M if it raises it; a refit that leaves the objective
+    equal is kept only if its norm is strictly smaller than the iterate's.
+    The loop stops early at the fixed point, where a round changes neither
+    iterate.
     """
 
     setup: str
@@ -421,9 +423,22 @@ def summarize(records: Sequence[TrialRecord]) -> Dict[tuple, SummaryStats]:
     }
 
 
-def delta_percent(aasd_mean: float, plugin_mean: float) -> float:
-    """Relative change of the plug-in statistic against the descent one."""
-    return 100.0 * (plugin_mean - aasd_mean) / aasd_mean
+def delta_percent(aasd_stat: float, plugin_stat: float) -> float:
+    """Relative change of the plug-in statistic against the descent one.
+
+    Where the ratio is undefined it is inf, -inf or nan: against a zero
+    statistic a change is a signed inf and no change is nan, and an inf
+    statistic gives inf or nan as float division does.
+    """
+    change = plugin_stat - aasd_stat
+    if aasd_stat == 0.0:
+        return math.copysign(math.inf, change) if change else math.nan
+    return 100.0 * change / aasd_stat
+
+
+def _truncate(percent: float):
+    """Truncated toward zero; an undefined (non-finite) delta stays a float."""
+    return int(percent) if math.isfinite(percent) else percent
 
 
 def comparison_rows(stats: Dict[tuple, SummaryStats]) -> List[tuple]:
@@ -437,8 +452,8 @@ def comparison_rows(stats: Dict[tuple, SummaryStats]) -> List[tuple]:
         rows.append((
             n, eps, error,
             aasd_stats.mean, aasd_stats.std, plug_stats.mean, plug_stats.std,
-            int(delta_percent(aasd_stats.mean, plug_stats.mean)),
-            int(delta_percent(aasd_stats.std, plug_stats.std)),
+            _truncate(delta_percent(aasd_stats.mean, plug_stats.mean)),
+            _truncate(delta_percent(aasd_stats.std, plug_stats.std)),
         ))
     return rows
 

@@ -3,7 +3,8 @@
 The trimmed min-max objective over regressor pairs (beta_m, beta_M) is
 approached by two heuristics: alternating Armijo sub-gradient steps over the
 current active set, and alternating exact least-squares refits ("plug-in"),
-each kept only if it moves the objective in its player's favour.
+each kept only if it moves the objective in its player's favour, or leaves
+it equal with a smaller norm.
 The median-of-means variant replaces the active set by the bucket whose mean
 loss difference achieves the median. Best-MoM sweeps bucket counts using
 oracle access to the true coefficients; it exists purely as an infeasible
@@ -230,19 +231,27 @@ def _refit_half_step(X, y, spec: TrimSpec, beta, other, minimize: bool, current)
     objective and beta_M maximizes it; ``current`` is the evaluation (see
     _evaluate) of the current pair. From ``beta`` a chain of concentration
     steps runs, each an exact least-squares refit on the active set of the
-    previous chain point. The first refit that does not move the objective
-    against the player replaces ``beta``. The chain gives up and keeps
-    ``beta`` once a refit after the first fails to improve on its
-    predecessor, or after CONCENTRATION_CAP refits.
+    previous chain point. The first refit that moves the objective strictly
+    the player's way, or leaves it equal with a strictly smaller norm than
+    ``beta``, replaces ``beta``. The test looks at ``beta`` and the refit
+    only, so a pair the loop stops at is a fixed point of the round. A
+    first refit bit-equal to ``beta`` keeps ``beta`` unevaluated. The chain
+    gives up and keeps ``beta`` once a refit after the first fails to
+    improve on its predecessor, or after CONCENTRATION_CAP refits.
     """
     sign = 1.0 if minimize else -1.0
     value = current[0]
     point_value, idx = current
+    norm2 = float(beta @ beta)
     for step in range(CONCENTRATION_CAP):
         cand = fit_least_squares(X[idx], y[idx])
+        if step == 0 and np.array_equal(cand, beta):
+            return beta, current
         pair = (cand, other) if minimize else (other, cand)
         cand_value, cand_idx = _evaluate(X, y, spec, *pair)
-        if sign * cand_value <= sign * value:
+        if sign * cand_value < sign * value or (
+            cand_value == value and float(cand @ cand) < norm2
+        ):
             return cand, (cand_value, cand_idx)
         if step > 0 and sign * cand_value >= sign * point_value:
             break
@@ -262,8 +271,12 @@ def plug_in(
     all n rows, which beta_m minimizes and beta_M maximizes. Each round
     moves beta_m, then beta_M against the updated beta_m. A move is a
     least-squares refit on the player's current active set (a trimmed
-    concentration step, as in FAST-LTS). The refit replaces beta_m only if
-    it does not raise F, and replaces beta_M only if it does not lower F.
+    concentration step, as in FAST-LTS). The refit replaces beta_m if it
+    lowers F, and replaces beta_M if it raises F. On a tie, where the refit
+    leaves F equal (F is flat over wide regions when the active rows are
+    all zero, as in the masked Setup B), the refit replaces the iterate
+    only if its norm is strictly smaller, the minimum-norm convention of
+    fit_least_squares. Equal-F moves thus shrink a norm and cannot cycle.
 
     A refit that fails this test usually left the active set it was fitted
     on, so F at the refit is taken over other rows. The refit's own active
@@ -273,9 +286,11 @@ def plug_in(
     this, a start whose first active set holds planted outlier rows would
     reject every refit and come back unchanged.
 
-    The loop stops at the fixed point, where a round leaves both iterates
-    unchanged, or after ``iters`` rounds; ``iters`` is a cap, not a count.
-    With k = 0 the first refit is the exact OLS minimizer of F, so it is kept.
+    The test depends on the current pair and the refit only, so the loop
+    stops at a fixed point, where a round leaves both iterates unchanged
+    and ``plug_in(data, k, result, iters=1)`` returns ``result``, or after
+    ``iters`` rounds; ``iters`` is a cap, not a count. With k = 0 the first
+    refit is the exact OLS minimizer of F, so it is kept.
     """
     X, y = data.X, data.y
     n, d = X.shape

@@ -29,8 +29,6 @@ __all__ = [
     "contaminate_a",
     "gen_setup_b",
     "contaminate_b",
-    "sample_student_t",
-    "dataset_to_csv",
 ]
 
 # Planted response value for Setup A outlier rows.
@@ -283,27 +281,7 @@ def contaminate_b(data: Dataset, mask, eps: float, rng: RngSeed) -> Dataset:
     return out
 
 
-def sample_student_t(nu: int, rng: RngSeed, size: Optional[int] = None):
-    """Student t draw(s): N / sqrt(V/nu), V a sum of nu squared normals."""
-    if int(nu) < 1:
-        raise ValueError(f"nu must be a positive integer, got {nu}")
-    gen = rng.generator()
-    if size is None:
-        return float(_student_t_draw(gen, int(nu), 1)[0])
-    return _student_t_draw(gen, int(nu), size)
-
-
 def _student_t_draw(gen: np.random.Generator, nu: int, size: int) -> np.ndarray:
     numer = gen.standard_normal(size)
     chisq = np.sum(gen.standard_normal((size, nu)) ** 2, axis=1)
     return numer / np.sqrt(chisq / nu)
-
-
-def dataset_to_csv(data: Dataset, path) -> None:
-    """Write the covariates and responses as CSV: x_1..x_d, y."""
-    header = ",".join([f"x_{j}" for j in range(1, data.d + 1)] + ["y"])
-    rows = np.column_stack([data.X, data.y])
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")

@@ -20,10 +20,14 @@ from trimreg.bounds import phi_p_regression, phi_p_uniform, phi_regression
 from trimreg.estimators import TrimSpec, phi_uniform, trimmed_mean
 from trimreg.harness import (
     ExperimentConfig,
+    _initial_pair,
+    _make_trial_data,
     emit,
     run_cell,
     run_experiment,
     summarize,
+    trial_seed,
+    trim_count,
 )
 from trimreg.regression import (
     GdConfig,
@@ -98,8 +102,9 @@ def test_criterion_1c_plugin_n120_student1():
     # set let such rows into the fit (trial 27: beta_m's loss went
     # 1.46 -> 18.49 -> 2.27 over three refits; the cell mean was 1.645 at 2
     # refits and 148.2 at 50). plug_in keeps a refit of beta_m only if it
-    # does not raise the trimmed objective over all rows, and of beta_M only
-    # if it does not lower it, and stops at the fixed point.
+    # lowers the trimmed objective over all rows, and of beta_M only if it
+    # raises it (a refit that leaves it equal only if it shrinks the norm),
+    # and stops at the fixed point.
     losses, _ = _run_one_cell("A", 120, ErrorDist.student_t(1), 0.05, ("TM-PlugIn",))
     mean = losses["TM-PlugIn"].mean()
     median = float(np.median(losses["TM-PlugIn"]))
@@ -176,6 +181,33 @@ def test_criterion_4_masked_design_pattern():
     )
     assert med_ols <= med_tm
     assert elapsed < 180
+
+
+def test_criterion_4_companion_aasd_stays_at_start():
+    # What criterion 4 measures for TM-AASD: in its cell every active row
+    # at the seeded start has X = 0, so the active-set gradient is zero and
+    # the descent returns its start. Trimming discards the informative rows.
+    n, eps = 1000, 0.2
+    config = ExperimentConfig(setup="B", n=n, p=0.3, eps_grid=(eps,))
+    k = trim_count(eps, n)
+    zero_rows = at_start = 0
+    for trial in range(8):
+        seed = trial_seed(0, "B", n, config.d, config.p, eps, "normal", trial)
+        data = _make_trial_data(config, eps, seed)
+        init = _initial_pair(config, seed)
+        zero_rows += not data.X[active_set(init, data, k)].any()
+        pair = aasd(data, k, config.gd, init)
+        at_start += np.array_equal(pair.beta_m, init.beta_m) and np.array_equal(
+            pair.beta_M, init.beta_M
+        )
+    ok = zero_rows == at_start == 8
+    _report(
+        "criterion-4-companion", ok,
+        f"all-zero active rows at the start in {zero_rows}/8 trials, "
+        f"TM-AASD returns its start in {at_start}/8",
+    )
+    assert zero_rows == 8
+    assert at_start == 8
 
 
 # --- Criterion 5: constants ---------------------------------------------------

@@ -7,7 +7,6 @@ from trimreg.estimators import (
     TrimSpec,
     exceedance_count,
     median_of_means,
-    phi_to_k,
     phi_uniform,
     trimmed_mean,
     truncate,
@@ -226,12 +225,6 @@ class TestPhiUniform:
         for eps in eps_grid:
             phis = [phi_uniform(n, eps, a) for a in alpha_grid]
             assert all(b <= a for a, b in zip(phis, phis[1:]))
-
-
-def test_phi_to_k_ceiling():
-    assert phi_to_k(0.075, 1000) == 75
-    assert phi_to_k(0.0751, 1000) == 76
-    assert phi_to_k(0.0, 10) == 0
 
 
 class TestUniformTrimmedEstimate:

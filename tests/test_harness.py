@@ -319,6 +319,34 @@ class TestEmit:
         )
         assert path == tmp_path / "comparison.csv"
 
+    @pytest.mark.filterwarnings("error")
+    def test_comparison_row_writes_undefined_deltas(self, tmp_path):
+        # A failed fit (inf loss) in either method's group, and TM-AASD
+        # groups whose std is 0: every undefined delta is written as a
+        # non-finite float, the defined ones as truncated integers.
+        failed = SummaryStats.from_losses([1.0, math.inf])
+        equal = SummaryStats.from_losses([2.0, 2.0])
+        cells = [("A", 120, 20, 0.0, eps, "t1") for eps in (0.05, 0.1, 0.2)]
+        stats = {}
+        for cell, (aasd_stats, plug_stats) in zip(
+            cells, [(failed, equal), (equal, failed), (equal, equal)]
+        ):
+            stats[cell + ("TM-AASD",)] = aasd_stats
+            stats[cell + ("TM-PlugIn",)] = plug_stats
+        write_table(tmp_path / "comparison.csv", COMPARISON_COLUMNS, comparison_rows(stats))
+        assert (tmp_path / "comparison.csv").read_bytes() == (
+            b"n,eps,error_dist,aasd_mean,aasd_std,plugin_mean,plugin_std,"
+            b"delta_mean_pct,delta_std_pct\n"
+            b"120,0.050000000000000003,t1,inf,inf,2,0,nan,nan\n"
+            b"120,0.10000000000000001,t1,2,0,inf,inf,inf,inf\n"
+            b"120,0.20000000000000001,t1,2,0,2,0,0,nan\n"
+        )
+
+    def test_delta_percent_against_zero(self):
+        assert delta_percent(0.0, 0.5) == math.inf
+        assert delta_percent(0.0, -0.5) == -math.inf
+        assert math.isnan(delta_percent(0.0, 0.0))
+
 
 def test_wall_time_ignored_in_equality():
     a = TrialRecord("A", 10, 2, 0.0, 0.0, "normal", "OLS", 0, 1, 2.0, wall_time=0.5)

@@ -322,6 +322,42 @@ class TestPlugIn:
             prev = pair
         assert not np.array_equal(pair.beta_m, init.beta_m)
 
+    def test_setup_b_ends_at_fixed_point(self):
+        # Setup B (n=1000, p=0.3), base seed 0. The active rows are mostly
+        # all-zero, so the objective is flat over wide regions; a rule that
+        # keeps every refit leaving it equal cycles there until the round
+        # cap in all 8 eps=0.2 fits, off a fixed point.
+        n = 1000
+        config = ExperimentConfig(setup="B", n=n, p=0.3)
+        for eps in (0.1, 0.2):
+            k = trim_count(eps, n)
+            for trial in range(8):
+                seed = trial_seed(0, "B", n, config.d, config.p, eps, "normal", trial)
+                data = _make_trial_data(config, eps, seed)
+                init = _initial_pair(config, seed)
+                result = plug_in(data, k, init)
+                again = plug_in(data, k, result, iters=1)
+                assert np.array_equal(again.beta_m, result.beta_m)
+                assert np.array_equal(again.beta_M, result.beta_M)
+                assert not np.array_equal(result.beta_m, init.beta_m)
+
+    def test_flat_objective_stops_at_fixed_point(self):
+        # k=2 of n=5 keeps one row, and the objective is 0 at every pair
+        # below. A rule that keeps each refit leaving it equal goes round
+        # the cycle (0, 0) -> (-2, 0) -> (0, -2) -> (0, 0) until the round
+        # cap; the refit to -2 grows the norm, so plug_in refuses it.
+        X = np.array([[0.0], [1.0], [-1.0], [-1.0], [-1.0]])
+        y = np.array([1.0, 1.0, 2.0, -2.0, 2.0])
+        data, k = Dataset(X=X, y=y), 2
+        for beta_m, beta_M in ((1.0, -1.0), (0.0, 0.0), (-2.0, 0.0), (0.0, -2.0)):
+            diffs = _loss_diffs(X, y, np.array([beta_m]), np.array([beta_M]))
+            assert trimmed_mean(diffs, TrimSpec(k, 5)) == 0.0
+        result = plug_in(data, k, RegressorPair([1.0], [-1.0]))
+        assert (result.beta_m.tolist(), result.beta_M.tolist()) == ([0.0], [0.0])
+        again = plug_in(data, k, result, iters=1)
+        assert np.array_equal(again.beta_m, result.beta_m)
+        assert np.array_equal(again.beta_M, result.beta_M)
+
 
 def _reference_active(X, y, beta_m, beta_M, k):
     n = y.shape[0]
@@ -361,7 +397,10 @@ def _reference_aasd(data, k, cfg, init):
 
 def _reference_plug_in(data, k, init, iters):
     """Reference plug-in heuristic: each pair's objective and active set are
-    computed apart, each from its own loss differences."""
+    computed apart, each from its own loss differences. A refit is taken if
+    it moves the objective strictly its player's way, or leaves it equal
+    with a strictly smaller norm; a first refit bit-equal to the iterate
+    keeps the iterate."""
     X, y = data.X, data.y
 
     def objective(beta_m, beta_M):
@@ -377,8 +416,11 @@ def _reference_plug_in(data, k, init, iters):
         for step in range(CONCENTRATION_CAP):
             idx = _reference_active(X, y, *as_pair(point), k)
             cand = fit_least_squares(X[idx], y[idx])
+            if step == 0 and np.array_equal(cand, beta):
+                return beta, value
             cand_value = objective(*as_pair(cand))
-            if sign * cand_value <= sign * value:
+            better = sign * cand_value < sign * value
+            if better or (cand_value == value and cand @ cand < beta @ beta):
                 return cand, cand_value
             if step > 0 and sign * cand_value >= sign * point_value:
                 break
