@@ -62,12 +62,6 @@ class MomentProfile:
             raise ValueError("need at least one exponent in [1, 2]")
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "MomentProfile":
-        if hasattr(pairs, "items"):
-            pairs = sorted(pairs.items())
-        return cls(tuple(pairs))
-
     def fluctuation_term(self, ratio: float) -> float:
         """inf over grid exponents q in [1,2] of value * ratio^(1 - 1/q)."""
         return min(

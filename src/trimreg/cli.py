@@ -27,7 +27,6 @@ import numpy as np
 from . import bounds as bnd
 from .harness import (
     COMPARISON_COLUMNS,
-    DEFAULT_EPS_GRID,
     INIT_RULES,
     METHODS,
     ExperimentConfig,
@@ -39,8 +38,8 @@ from .harness import (
     write_table,
     write_text,
 )
-from .regression import PLUGIN_ITERS, GdConfig
-from .synthdata import OUTLIER_RESPONSE, ErrorDist
+from .regression import THETA, GdConfig
+from .synthdata import ErrorDist
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,33 +97,33 @@ def _parse_profile(text: str):
 
 def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, required=True, help="sample size per trial")
-    sub.add_argument("--d", type=int, default=20, help="covariate dimension")
+    sub.add_argument(
+        "--d", type=int, default=ExperimentConfig.d, help="covariate dimension"
+    )
     sub.add_argument(
         "--eps-grid",
         type=_parse_eps_grid,
-        default=DEFAULT_EPS_GRID,
-        help="comma-separated contamination levels in [0, 0.5) "
-        "(default: 0,0.025,0.05,0.075,0.1,0.2,0.3,0.4)",
+        default=ExperimentConfig.eps_grid,
+        help="comma-separated contamination levels in [0, 0.5) (default: %s)"
+        % ",".join("%g" % eps for eps in ExperimentConfig.eps_grid),
     )
     sub.add_argument(
         "--methods",
         type=_parse_methods,
-        default=METHODS,
+        default=ExperimentConfig.methods,
         help=f"comma-separated subset of: {', '.join(METHODS)}",
     )
-    sub.add_argument("--trials", type=int, default=240, help="trials per cell")
-    sub.add_argument("--seed", type=int, default=0, help="base seed")
     sub.add_argument(
         "--trim-extra",
         type=int,
-        default=5,
+        default=ExperimentConfig.trim_extra,
         help="trimming rule k = floor(eps*n) + TRIM_EXTRA",
     )
     sub.add_argument(
         "--mom-blocks",
         type=int,
-        default=None,
-        help="bucket count for the plain MoM method "
+        default=ExperimentConfig.mom_blocks,
+        help="bucket count in [1, n] for the plain MoM method "
         "(default: min(n, 2*floor(eps*n) + 5))",
     )
     sub.add_argument(
@@ -136,18 +135,29 @@ def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--plugin-iters",
         type=int,
-        default=PLUGIN_ITERS,
-        help="cap on plug-in rounds; a round keeps a refit only if it moves "
-        "the trimmed min-max objective its player's way (down for beta_m, "
-        "up for beta_M), or leaves it equal with a smaller norm, and the "
-        "loop stops early once a round changes neither iterate "
-        f"(default: {PLUGIN_ITERS})",
+        default=ExperimentConfig.plugin_iters,
+        help="cap on plug-in rounds, at least 1; a round keeps a refit only "
+        "if it moves the trimmed min-max objective its player's way (down "
+        "for beta_m, up for beta_M), or leaves it equal with a smaller norm, "
+        "and the loop stops early once a round changes neither iterate "
+        f"(default: {ExperimentConfig.plugin_iters})",
     )
     sub.add_argument(
         "--init",
         choices=INIT_RULES,
         default=ExperimentConfig.init_rule,
         help="iterate initialization: seeded random pair or the zero pair",
+    )
+    _add_grid_run_flags(sub)
+
+
+def _add_grid_run_flags(sub: argparse.ArgumentParser) -> None:
+    """Flags of every subcommand that runs a grid: trials, seed and output."""
+    sub.add_argument(
+        "--trials", type=int, default=ExperimentConfig.trials, help="trials per cell"
+    )
+    sub.add_argument(
+        "--seed", type=int, default=ExperimentConfig.base_seed, help="base seed"
     )
     sub.add_argument("--workers", type=int, default=1, help="parallel trial workers")
     sub.add_argument("--out", required=True, help="output directory")
@@ -169,18 +179,20 @@ def build_parser() -> _Parser:
         "run-setup-a", help="Gaussian AR(1) design with planted outlier rows"
     )
     _add_common_run_flags(sub_a)
-    sub_a.add_argument("--rho", type=float, default=0.0, help="AR(1) correlation")
+    sub_a.add_argument(
+        "--rho", type=float, default=ExperimentConfig.rho, help="AR(1) correlation"
+    )
     sub_a.add_argument(
         "--error",
         choices=("normal", "t1", "t2", "t4"),
-        default="normal",
+        default=ExperimentConfig.error_dist.label,
         help="noise distribution",
     )
     sub_a.add_argument(
         "--outlier-y",
         type=float,
-        default=OUTLIER_RESPONSE,
-        help="planted response value of contaminated rows",
+        default=ExperimentConfig.outlier_response,
+        help="planted response value of contaminated rows (finite)",
     )
     sub_a.set_defaults(
         run=_cmd_run_setup,
@@ -197,7 +209,9 @@ def build_parser() -> _Parser:
         help="Bernoulli-masked isotropic design (missing-data caricature)",
     )
     _add_common_run_flags(sub_b)
-    sub_b.add_argument("--p", type=float, default=0.3, help="mask rate in (0, 1]")
+    sub_b.add_argument(
+        "--p", type=float, default=ExperimentConfig.p, help="mask rate in (0, 1]"
+    )
     sub_b.set_defaults(
         run=_cmd_run_setup, setup_fields=lambda args: dict(setup="B", p=args.p)
     )
@@ -206,11 +220,7 @@ def build_parser() -> _Parser:
         "compare-algs",
         help="fixed grid comparing the two trimmed-mean heuristics",
     )
-    sub_c.add_argument("--trials", type=int, default=240)
-    sub_c.add_argument("--seed", type=int, default=0)
-    sub_c.add_argument("--workers", type=int, default=1)
-    sub_c.add_argument("--out", required=True)
-    sub_c.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_grid_run_flags(sub_c)
     sub_c.set_defaults(run=_cmd_compare_algs)
 
     sub_d = subs.add_parser(
@@ -268,7 +278,7 @@ def _config_metadata(config: ExperimentConfig) -> dict:
         "plugin_iters": config.plugin_iters,
         "descent": {
             "tol_delta": config.gd.tol_delta,
-            "theta": config.gd.theta,
+            "theta": THETA,
             "max_iters": config.gd.max_iters,
         },
         "notes": [

@@ -105,6 +105,9 @@ class ExperimentConfig:
     equal is kept only if its norm is strictly smaller than the iterate's.
     The loop stops early at the fixed point, where a round changes neither
     iterate.
+
+    ``mom_blocks`` fixes the plain MoM bucket count; None picks
+    default_mom_blocks per cell. A bad setting raises here, before any fit.
     """
 
     setup: str
@@ -112,7 +115,7 @@ class ExperimentConfig:
     d: int = 20
     rho: float = 0.0
     p: float = 0.3
-    error_dist: ErrorDist = field(default_factory=ErrorDist.normal)
+    error_dist: ErrorDist = ErrorDist.normal()
     eps_grid: Tuple[float, ...] = DEFAULT_EPS_GRID
     methods: Tuple[str, ...] = METHODS
     trials: int = 240
@@ -133,6 +136,10 @@ class ExperimentConfig:
             raise ValueError("n and d must be positive integers")
         if self.trials < 1:
             raise ValueError("trials must be a positive integer")
+        if self.plugin_iters < 1:
+            raise ValueError(f"plugin_iters must be >= 1, got {self.plugin_iters}")
+        if self.mom_blocks is not None and not 1 <= self.mom_blocks <= self.n:
+            raise ValueError(f"mom_blocks must lie in [1, n], got {self.mom_blocks}")
         if any(not 0.0 <= e < 0.5 for e in self.eps_grid):
             raise ValueError("every eps must lie in [0, 1/2)")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -194,34 +201,27 @@ class SummaryStats:
 
     @classmethod
     def from_losses(cls, losses) -> "SummaryStats":
+        """Statistics of losses where a failed fit's loss is inf: the std is
+        inf exactly when the mean is (0 for one loss), where numpy's is nan."""
         arr = np.asarray(losses, dtype=float)
         if arr.size == 0:
             raise ValueError("cannot summarize an empty group")
-        if np.isfinite(arr).all():
-            std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            q1, med, q3 = (float(q) for q in np.percentile(arr, [25.0, 50.0, 75.0]))
+        mean = float(arr.mean())
+        if arr.size == 1:
+            std = 0.0
         else:
-            # a failed fit's loss is inf, which numpy's std and interpolation
-            # turn into nan
-            std = math.inf if arr.size > 1 else 0.0
-            ordered = np.sort(arr)
-            q1, med, q3 = (_quartile_with_inf(ordered, q) for q in (0.25, 0.5, 0.75))
-        return cls(
-            mean=float(arr.mean()),
-            std=std,
-            min=float(arr.min()),
-            q1=q1,
-            median=med,
-            q3=q3,
-            max=float(arr.max()),
-        )
+            std = math.inf if math.isinf(mean) else float(arr.std(ddof=1))
+        ordered = np.sort(arr)
+        quartiles = (_quartile(ordered, q) for q in (0.25, 0.5, 0.75))
+        return cls(mean, std, float(ordered[0]), *quartiles, float(ordered[-1]))
 
 
-def _quartile_with_inf(ordered: np.ndarray, q: float) -> float:
-    """Type-7 quantile (numpy's default) of sorted losses that hold an inf.
+def _quartile(ordered: np.ndarray, q: float) -> float:
+    """Type-7 quantile (numpy's default) of sorted losses, which may hold an inf.
 
     At an integer position it is that order statistic, and a quantile that
-    interpolates toward an inf is inf.
+    interpolates toward an inf is inf, where numpy's is nan; otherwise it is
+    np.percentile's.
     """
     pos = (ordered.size - 1) * q
     lo = math.floor(pos)
@@ -274,7 +274,7 @@ def trial_seed(
     return int.from_bytes(digest[:8], "big")
 
 
-def trim_count(eps: float, n: int, extra: int = 5) -> int:
+def trim_count(eps: float, n: int, extra: int = ExperimentConfig.trim_extra) -> int:
     """Benchmark trimming rule: k = floor(eps*n) + extra."""
     return floor_int(eps * n) + extra
 
@@ -526,23 +526,20 @@ def load_records_json(path) -> List[TrialRecord]:
 
 
 def table_grid_configs(
-    trials: int = 240,
-    base_seed: int = 0,
-    gd: Optional[GdConfig] = None,
+    trials: int = ExperimentConfig.trials,
+    base_seed: int = ExperimentConfig.base_seed,
 ) -> List[ExperimentConfig]:
-    """The algorithm-comparison grid: Setup A, rho = 0, n in {120, 360},
-    eps in {0.05, 0.2}, normal and Student t errors (nu in {1, 2, 4})."""
+    """The algorithm-comparison grid: Setup A at the default d (20) and rho
+    (0), n in {120, 360}, eps in {0.05, 0.2}, normal and Student t errors
+    (nu in {1, 2, 4})."""
     configs = []
     base = ExperimentConfig(
         setup="A",
         n=120,
-        d=20,
-        rho=0.0,
         eps_grid=(0.05, 0.2),
         methods=("TM-AASD", "TM-PlugIn"),
         trials=trials,
         base_seed=base_seed,
-        gd=gd or GdConfig(),
     )
     for n in (120, 360):
         for err in (

@@ -28,6 +28,7 @@ from .synthdata import Dataset, RngSeed
 __all__ = [
     "LINE_SEARCH_CAP",
     "PLUGIN_ITERS",
+    "THETA",
     "GdConfig",
     "RegressorPair",
     "fit_least_squares",
@@ -53,20 +54,22 @@ PLUGIN_ITERS = 100
 # Step size each descent starts from, for beta_m and beta_M alike.
 INITIAL_STEP = 1.0
 
+# Factor a backtracking shrink multiplies the step by; each iteration first
+# grows the step by its inverse.
+THETA = 0.5
+
 
 @dataclass(frozen=True)
 class GdConfig:
-    """Step-shrink and stopping parameters; both steps start at INITIAL_STEP."""
+    """Stopping parameters of the descents; both steps start at INITIAL_STEP
+    and shrink by THETA."""
 
     tol_delta: float = 1e-4
-    theta: float = 0.5
     max_iters: int = 1000
 
     def __post_init__(self) -> None:
         if not self.tol_delta > 0:
             raise ValueError("tol_delta must be positive")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
 
@@ -136,27 +139,27 @@ def active_set(pair: RegressorPair, data: Dataset, k: int) -> np.ndarray:
     return _active_indices(_loss_diffs(data.X, data.y, pair.beta_m, pair.beta_M), k)
 
 
-def _armijo_step(step: float, g2: float, xg2: float, theta: float):
+def _armijo_step(step: float, g2: float, xg2: float):
     """Backtracked Armijo step on a frozen active set; returns (taken, carried).
 
     On frozen rows SSE(beta - s*g) = SSE(beta) - s*||g||^2 + s^2*||X g||^2,
     so a step s does not increase the SSE iff s*||X g||^2 <= ||g||^2; the
     test needs ||g||^2 and ||X g||^2 only. From ``step`` the step shrinks by
-    theta until the test holds. After LINE_SEARCH_CAP shrinks the step taken
+    THETA until the test holds. After LINE_SEARCH_CAP shrinks the step taken
     is zero, and the step shrunk once more carries over to the next
     iteration, as an accepted step does.
     """
     for _ in range(LINE_SEARCH_CAP + 1):
         if step * xg2 <= g2:
             return step, step
-        step *= theta
+        step *= THETA
     return 0.0, step
 
 
-def _armijo_half_step(XI, yI, beta, step, theta):
+def _armijo_half_step(XI, yI, beta, step):
     """One grown-then-backtracked gradient step on the active-set SSE.
 
-    Takes beta - s * grad for the largest s = step * theta^j with
+    Takes beta - s * grad for the largest s = step * THETA^j with
     j <= LINE_SEARCH_CAP that does not increase the SSE over the active rows
     (see _armijo_step); if none does, the iterate is kept unchanged.
     Returns (new_beta, step) so the step size carries over to the next
@@ -164,7 +167,7 @@ def _armijo_half_step(XI, yI, beta, step, theta):
     """
     grad = -2.0 * (XI.T @ (yI - XI @ beta))
     Xg = XI @ grad
-    taken, step = _armijo_step(step, float(grad @ grad), float(Xg @ Xg), theta)
+    taken, step = _armijo_step(step, float(grad @ grad), float(Xg @ Xg))
     if taken == 0.0:
         return beta, step
     return beta - taken * grad, step
@@ -178,7 +181,7 @@ def aasd(
 ) -> RegressorPair:
     """Alternating Armijo sub-gradient descent on the trimmed min-max objective.
 
-    Each iteration grows the step size by 1/theta, recomputes the active set,
+    Each iteration grows the step size by 1/THETA, recomputes the active set,
     descends beta_m on the frozen active-set SSE with backtracking, then
     recomputes the active set with the updated beta_m and applies the
     symmetric update to beta_M. Both residual vectors are kept, so a
@@ -198,14 +201,14 @@ def aasd(
     rM = X @ beta_M - y
     eta = xi = INITIAL_STEP
     for _ in range(cfg.max_iters):
-        eta /= cfg.theta
+        eta /= THETA
         idx = _active_indices(rm * rm - rM * rM, k)
-        new_m, eta = _armijo_half_step(X[idx], y[idx], beta_m, eta, cfg.theta)
+        new_m, eta = _armijo_half_step(X[idx], y[idx], beta_m, eta)
         rm = X @ new_m - y
 
-        xi /= cfg.theta
+        xi /= THETA
         idx = _active_indices(rm * rm - rM * rM, k)
-        new_M, xi = _armijo_half_step(X[idx], y[idx], beta_M, xi, cfg.theta)
+        new_M, xi = _armijo_half_step(X[idx], y[idx], beta_M, xi)
         rM = X @ new_M - y
 
         delta = max(
@@ -400,15 +403,15 @@ def _mom_descent(
         g2 = np.einsum("ij,ij->i", G, G).tolist()
         xg2 = np.einsum("ij,ij->i", XG, XG).tolist()
         taken, carried = np.array(
-            [_armijo_step(*args, cfg.theta) for args in zip(step.tolist(), g2, xg2)]
+            [_armijo_step(*args) for args in zip(step.tolist(), g2, xg2)]
         ).T
         new = np.where((taken > 0.0)[:, None], B - taken[:, None] * G, B)
         return new, _rowwise(new, XsT) - ys, carried
 
     for _ in range(cfg.max_iters):
-        eta = eta / cfg.theta
+        eta = eta / THETA
         new_m, Rm, eta = half_step(Bm, Rm, eta, Rm * Rm - RM * RM, layout)
-        xi = xi / cfg.theta
+        xi = xi / THETA
         new_M, RM, xi = half_step(BM, RM, xi, Rm * Rm - RM * RM, layout)
         delta = np.maximum(
             np.linalg.norm(Bm - new_m, axis=1), np.linalg.norm(BM - new_M, axis=1)

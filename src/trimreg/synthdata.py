@@ -12,7 +12,7 @@ calls agree bitwise within one build of this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -144,15 +144,6 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    def copy(self) -> "Dataset":
-        return Dataset(
-            X=self.X.copy(),
-            y=self.y.copy(),
-            beta_star=None if self.beta_star is None else self.beta_star.copy(),
-            pop_cov=None if self.pop_cov is None else self.pop_cov.copy(),
-            noise=None if self.noise is None else self.noise.copy(),
-        )
-
 
 def _check_psd(sigma: np.ndarray, d: int) -> None:
     if sigma.shape != (d, d):
@@ -214,18 +205,21 @@ def contaminate_a(
     rng: RngSeed,
     outlier_response: float = OUTLIER_RESPONSE,
 ) -> Dataset:
-    """Replace floor(eps*n) uniformly chosen rows by (beta_star, outlier_response)."""
+    """Replace floor(eps*n) uniformly chosen rows by (beta_star, outlier_response).
+
+    Returns a new Dataset; a non-finite planted response raises ValueError.
+    """
     if data.beta_star is None:
         raise ValueError("contaminate_a requires beta_star on the dataset")
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
     count = floor_int(eps * data.n)
-    out = data.copy()
+    X, y = data.X.copy(), data.y.copy()
     if count:
         chosen = rng.generator().choice(data.n, size=count, replace=False)
-        out.X[chosen] = data.beta_star
-        out.y[chosen] = outlier_response
-    return out
+        X[chosen] = data.beta_star
+        y[chosen] = outlier_response
+    return replace(data, X=X, y=y)
 
 
 def gen_setup_b(n: int, d: int, p: float, beta_star, rng: RngSeed):
@@ -257,28 +251,24 @@ def contaminate_b(data: Dataset, mask, eps: float, rng: RngSeed) -> Dataset:
     """Zero out min(floor(eps*n), #unmasked) rows chosen among the mask's ones.
 
     A zeroed row keeps its original residual: the new response is exactly
-    the xi_i drawn at generation time (recomputed from beta_star when the
-    dataset does not carry stored residuals).
+    the xi_i drawn at generation time, so the dataset must carry the noise
+    that gen_setup_b stores. Returns a new Dataset.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (data.n,):
         raise ValueError(f"mask length {mask.shape} != sample size {data.n}")
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
+    if data.noise is None:
+        raise ValueError("contaminate_b needs the noise stored at generation")
     eligible = np.flatnonzero(mask)
     count = min(floor_int(eps * data.n), eligible.size)
-    out = data.copy()
+    X, y = data.X.copy(), data.y.copy()
     if count:
-        if data.noise is not None:
-            xi = data.noise
-        elif data.beta_star is not None:
-            xi = data.y - data.X @ data.beta_star
-        else:
-            raise ValueError("contaminate_b needs stored noise or beta_star")
         chosen = rng.generator().choice(eligible, size=count, replace=False)
-        out.X[chosen] = 0.0
-        out.y[chosen] = xi[chosen]
-    return out
+        X[chosen] = 0.0
+        y[chosen] = data.noise[chosen]
+    return replace(data, X=X, y=y)
 
 
 def _student_t_draw(gen: np.random.Generator, nu: int, size: int) -> np.ndarray:

@@ -48,10 +48,6 @@ class TestMomentProfile:
         prof = MomentProfile(((1.0, 2.0),))
         assert prof.contamination_term(0.0) == 2.0  # 0^0 == 1
 
-    def test_from_pairs_dict(self):
-        prof = MomentProfile.from_pairs({2.0: 1.5, 1.0: 3.0})
-        assert prof.entries == ((1.0, 3.0), (2.0, 1.5))
-
 
 class TestCEpsilon:
     def test_reference_values(self):

@@ -178,6 +178,26 @@ def test_bounds_subcommand(tmp_path):
     assert slice_r[0] == "n,r_q,r_m_bound,phi_p_regression"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--outlier-y", "inf"], "dataset contains non-finite entries"),
+        (["--plugin-iters", "0"], "plugin_iters"),
+        (["--mom-blocks", "0"], "mom_blocks"),
+        (["--mom-blocks", "31"], "mom_blocks"),  # n = 30
+    ],
+)
+def test_bad_run_setting_exits_2_with_no_output(tmp_path, capsys, flags, message):
+    out = tmp_path / "bad"
+    argv = [
+        "run-setup-a", "--n", "30", "--d", "3", "--eps-grid", "0.1",
+        "--methods", "OLS,TM-PlugIn,MoM", "--trials", "2", "--out", str(out),
+    ]
+    assert main(argv + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_value_exits_nonzero(capsys):
     code = main(
         [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimreg.harness import (
     COMPARISON_COLUMNS,
@@ -52,6 +54,12 @@ class TestConfig:
             _small_config(trials=0)
         with pytest.raises(ValueError):
             _small_config(init_rule="warm")
+        with pytest.raises(ValueError, match="plugin_iters"):
+            _small_config(plugin_iters=0)
+        for blocks in (0, 41):  # n = 40
+            with pytest.raises(ValueError, match="mom_blocks"):
+                _small_config(mom_blocks=blocks)
+        assert _small_config(mom_blocks=40).mom_blocks == 40
         with pytest.raises(ValueError):
             ExperimentConfig(setup="B", n=10, p=0.0)
         with pytest.raises(ValueError):
@@ -183,6 +191,33 @@ class TestSummarize:
         s = SummaryStats.from_losses([1.0, 2.0, 3.0, 4.0, math.inf])
         assert (s.q1, s.median, s.q3) == (2.0, 3.0, 4.0)
         assert (s.mean, s.std) == (math.inf, math.inf)
+
+    @pytest.mark.filterwarnings("error")
+    def test_failed_fit_above_interpolated_quartiles(self):
+        # type-7 positions 0.75 and 1.5 interpolate between finite losses,
+        # and 2.25 interpolates toward the inf
+        s = SummaryStats.from_losses([1.0, 2.0, 3.0, math.inf])
+        assert (s.q1, s.median, s.q3) == (1.75, 2.5, math.inf)
+        assert (s.mean, s.std) == (math.inf, math.inf)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1e6, allow_subnormal=False),
+                st.integers(0, 3).map(float),  # ties
+            ),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    def test_finite_losses_match_numpy_bits(self, losses):
+        s = SummaryStats.from_losses(losses)
+        arr = np.asarray(losses)
+        expected = np.percentile(arr, [25.0, 50.0, 75.0]).tolist()
+        assert [s.q1, s.median, s.q3] == expected
+        assert s.std == float(arr.std(ddof=1))
+        assert (s.mean, s.min, s.max) == (arr.mean(), arr.min(), arr.max())
 
     def test_delta_percent_matches_comparison_table(self):
         assert math.trunc(delta_percent(0.725, 0.581)) == -19

@@ -15,6 +15,7 @@ from trimreg.estimators import _bucket_layout
 from trimreg.regression import (
     CONCENTRATION_CAP,
     LINE_SEARCH_CAP,
+    THETA,
     GdConfig,
     RegressorPair,
     _armijo_half_step,
@@ -175,7 +176,7 @@ class TestArmijoStep:
             beta = rng.standard_normal(d)
             step = float(rng.uniform(0.01, 10))
             before = float(((X @ beta - y) ** 2).sum())
-            new, _ = _armijo_half_step(X, y, beta, step, 0.5)
+            new, _ = _armijo_half_step(X, y, beta, step)
             after = float(((X @ new - y) ** 2).sum())
             assert after <= before
 
@@ -183,12 +184,12 @@ class TestArmijoStep:
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([1.0, 2.0])
         beta = np.array([1.0, 2.0])
-        new, step = _armijo_half_step(X, y, beta, 4.0, 0.5)
+        new, step = _armijo_half_step(X, y, beta, 4.0)
         assert np.array_equal(new, beta)
         assert step == 4.0
 
 
-def _sse_backtrack(XI, yI, beta, step, theta):
+def _sse_backtrack(XI, yI, beta, step):
     """Reference line search: evaluates the SSE at every tried step.
 
     Also returns the tried steps, so callers can see how close each came to
@@ -204,7 +205,7 @@ def _sse_backtrack(XI, yI, beta, step, theta):
         r = XI @ cand - yI
         if float(r @ r) <= sse0:
             return cand, step, tried
-        step *= theta
+        step *= THETA
     return beta, step, tried
 
 
@@ -219,15 +220,14 @@ class TestArmijoProperties:
         n=st.integers(1, 30),
         d=st.integers(1, 5),
         log_step=st.floats(-8.0, 8.0),
-        theta=st.sampled_from([0.1, 0.5, 0.9]),
     )
-    def test_closed_form_matches_sse_backtrack(self, seed, n, d, log_step, theta):
+    def test_closed_form_matches_sse_backtrack(self, seed, n, d, log_step):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
         beta = rng.standard_normal(d)
         step = float(np.exp(log_step))
-        ref_beta, ref_step, tried = _sse_backtrack(X, y, beta, step, theta)
+        ref_beta, ref_step, tried = _sse_backtrack(X, y, beta, step)
         grad = -2.0 * (X.T @ (y - X @ beta))
         g2 = float(grad @ grad)
         xg2 = float((X @ grad) @ (X @ grad))
@@ -235,7 +235,7 @@ class TestArmijoProperties:
         # SSE(beta - s g) - SSE(beta) = s (s ||Xg||^2 - ||g||^2); skip draws
         # where a tried step lands within rounding of that boundary
         assume(all(s * abs(s * xg2 - g2) > 1e-9 * (1.0 + sse0) for s in tried))
-        new_beta, new_step = _armijo_half_step(X, y, beta, step, theta)
+        new_beta, new_step = _armijo_half_step(X, y, beta, step)
         assert new_step == ref_step
         assert np.array_equal(new_beta, ref_beta)
 
@@ -258,8 +258,6 @@ class TestAasd:
             assert loss_l2(pair.beta_m, ols, data.pop_cov) < 1e-4
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GdConfig(theta=1.0)
         with pytest.raises(ValueError):
             GdConfig(tol_delta=0.0)
         with pytest.raises(ValueError):
@@ -377,13 +375,13 @@ def _reference_aasd(data, k, cfg, init):
     beta_M = init.beta_M.copy()
     eta = xi = 1.0
     for _ in range(cfg.max_iters):
-        eta /= cfg.theta
+        eta /= THETA
         idx = _reference_active(X, y, beta_m, beta_M, k)
-        new_m, eta = _armijo_half_step(X[idx], y[idx], beta_m, eta, cfg.theta)
+        new_m, eta = _armijo_half_step(X[idx], y[idx], beta_m, eta)
 
-        xi /= cfg.theta
+        xi /= THETA
         idx = _reference_active(X, y, new_m, beta_M, k)
-        new_M, xi = _armijo_half_step(X[idx], y[idx], beta_M, xi, cfg.theta)
+        new_M, xi = _armijo_half_step(X[idx], y[idx], beta_M, xi)
 
         delta = max(
             float(np.linalg.norm(beta_m - new_m)),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,12 @@ class TestContaminateA:
         contaminate_a(data, 0.2, RngSeed(11, 1))
         assert np.array_equal(data.y, snapshot)
 
+    @pytest.mark.parametrize("response", [math.inf, math.nan])
+    def test_non_finite_outlier_response_rejected(self, response):
+        # the planted rows pass through the Dataset check like any other
+        with pytest.raises(ValueError, match="non-finite"):
+            contaminate_a(self._data(20), 0.1, RngSeed(12, 1), response)
+
 
 class TestSetupB:
     def test_p_one_has_no_zero_rows(self):
@@ -205,6 +213,12 @@ class TestContaminateB:
         data, mask = self._data(30)
         with pytest.raises(ValueError):
             contaminate_b(data, mask[:-1], 0.1, RngSeed(0))
+
+    def test_requires_stored_noise(self):
+        data, mask = self._data(30)
+        bare = Dataset(X=data.X, y=data.y, beta_star=data.beta_star)
+        with pytest.raises(ValueError, match="noise"):
+            contaminate_b(bare, mask, 0.1, RngSeed(0))
 
 
 def _student_t(nu, seed, size):
