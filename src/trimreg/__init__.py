@@ -4,7 +4,6 @@ from .estimators import (
     TrimSpec,
     exceedance_count,
     median_of_means,
-    phi_uniform,
     trimmed_mean,
     truncate,
     uniform_trimmed_estimate,
@@ -45,6 +44,7 @@ from .bounds import (
     phi_p_regression,
     phi_p_uniform,
     phi_regression,
+    phi_uniform,
 )
 from .harness import (
     ExperimentConfig,

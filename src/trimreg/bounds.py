@@ -22,6 +22,7 @@ __all__ = [
     "default_eps_bar",
     "c_j_epsilon",
     "c_j_epsilon_curve",
+    "phi_uniform",
     "PhiRegression",
     "phi_regression",
     "phi_p_uniform",
@@ -188,6 +189,30 @@ def c_j_epsilon_curve(
     return rows
 
 
+def _trim_level(n: int, eps: float, log_term: float, share: float) -> float:
+    """(floor(eps*n) + max(ceil(log_term), ceil(share*n))) / n."""
+    count = floor_int(eps * n) + max(ceil_int(log_term), ceil_int(share * n))
+    return count / n
+
+
+def phi_uniform(n: int, eps: float, alpha: float) -> float:
+    """Trimming level for the uniform-error guarantee.
+
+    phi = (floor(eps*n) + max(ceil(ln(2/alpha)), ceil(min(1/2-eps, eps)/2 * n))) / n
+
+    Raises if phi >= 1/2: the sample is too small, or the contamination too
+    high, for the uniform guarantee to apply.
+    """
+    _check_nea(n, eps, alpha)
+    phi = _trim_level(n, eps, math.log(2.0 / alpha), min(0.5 - eps, eps) / 2.0)
+    if phi >= 0.5:
+        raise ValueError(
+            f"phi = {phi} >= 1/2: sample too small or contamination too high "
+            "for the uniform guarantee"
+        )
+    return phi
+
+
 class PhiRegression(NamedTuple):
     phi: float
     side_condition_ok: Optional[bool]
@@ -204,11 +229,7 @@ def phi_regression(
     error.
     """
     _check_nea(n, eps, alpha)
-    count = floor_int(eps * n) + max(
-        ceil_int(math.log(3.0 / alpha)),
-        ceil_int(eps * n / 2.0),
-    )
-    phi = count / n
+    phi = _trim_level(n, eps, math.log(3.0 / alpha), eps / 2.0)
     ok = None
     if theta0 is not None:
         if theta0 < 1.0:

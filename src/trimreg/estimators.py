@@ -1,8 +1,8 @@
 """Scalar and coordinatewise robust mean estimators.
 
-Trimmed means, truncation, exceedance diagnostics, median of means, and the
-closed-form trimming-level rule that backs the uniform estimation guarantee.
-All functions are pure and safe to call concurrently.
+Trimmed means, truncation, exceedance diagnostics and median of means. The
+trimming-level rule behind the uniform estimation guarantee, ``phi_uniform``,
+lives in ``bounds``. All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rounding import ceil_int, floor_int
-
 __all__ = [
     "TrimSpec",
     "as_sample",
@@ -21,7 +19,6 @@ __all__ = [
     "truncate",
     "exceedance_count",
     "median_of_means",
-    "phi_uniform",
     "uniform_trimmed_estimate",
 ]
 
@@ -114,37 +111,6 @@ def _bucket_layout(n: int, num_blocks: int):
     starts = np.zeros(num_blocks, dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
     return starts, sizes
-
-
-def phi_uniform(n: int, eps: float, alpha: float) -> float:
-    """Trimming level for the uniform-error guarantee.
-
-    phi = (floor(eps*n) + max(ceil(ln(2/alpha)), ceil(min(1/2-eps, eps)/2 * n))) / n
-
-    Raises if phi >= 1/2: the sample is too small, or the contamination too
-    high, for the uniform guarantee to apply.
-    """
-    _check_phi_args(n, eps, alpha)
-    count = floor_int(eps * n) + max(
-        ceil_int(math.log(2.0 / alpha)),
-        ceil_int(min(0.5 - eps, eps) / 2.0 * n),
-    )
-    phi = count / n
-    if phi >= 0.5:
-        raise ValueError(
-            f"phi = {phi} >= 1/2: sample too small or contamination too high "
-            "for the uniform guarantee"
-        )
-    return phi
-
-
-def _check_phi_args(n: int, eps: float, alpha: float) -> None:
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if not 0.0 <= eps < 0.5:
-        raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def uniform_trimmed_estimate(samples, spec: TrimSpec) -> np.ndarray:

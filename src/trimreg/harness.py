@@ -16,6 +16,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -107,7 +108,9 @@ class ExperimentConfig:
     iterate.
 
     ``mom_blocks`` fixes the plain MoM bucket count; None picks
-    default_mom_blocks per cell. A bad setting raises here, before any fit.
+    default_mom_blocks per cell. ``outlier_response`` is the planted
+    response of Setup A's contaminated rows and must be finite. A bad
+    setting raises here, before any fit.
     """
 
     setup: str
@@ -147,6 +150,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
         if self.setup == "A" and not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
+        if self.setup == "A" and not math.isfinite(self.outlier_response):
+            raise ValueError(
+                f"outlier_response must be finite, got {self.outlier_response}"
+            )
         if self.setup == "B" and not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         if self.setup == "B" and self.error_dist.kind != "normal":
@@ -309,106 +316,78 @@ def _initial_pair(config: ExperimentConfig, seed: int) -> RegressorPair:
     )
 
 
-def _fit_method(
-    method: str,
-    data: Dataset,
-    config: ExperimentConfig,
-    eps: float,
-    seed: int,
-) -> np.ndarray:
-    k = trim_count(eps, config.n, config.trim_extra)
-    init = _initial_pair(config, seed)
-    if method == "OLS":
-        return fit_least_squares(data.X, data.y)
-    if method == "TM-AASD":
-        return aasd(data, k, config.gd, init).beta_m
-    if method == "TM-PlugIn":
-        return plug_in(data, k, init, config.plugin_iters).beta_m
-    if method == "MoM":
-        blocks = config.mom_blocks or default_mom_blocks(eps, config.n)
-        return mom_regression(
-            data, blocks, config.gd, init, RngSeed(seed, _STREAM_MOM)
-        ).beta_m
-    if method == "Best-MoM":
-        _, pair = best_mom(
-            data,
-            divisors(config.n),
-            config.gd,
-            init,
-            RngSeed(seed, _STREAM_MOM),
-            data.beta_star,
-            data.pop_cov,
-        )
-        return pair.beta_m
-    raise ValueError(f"unknown method {method!r}")
-
-
 def run_trial(config: ExperimentConfig, eps: float, trial: int) -> List[TrialRecord]:
     """All requested methods on one shared contaminated dataset.
 
-    A solver failure is recorded as an infinite-loss marker row rather than
-    aborting the cell.
+    The dataset, trimming count, starting pair and MoM stream are built once
+    and shared by every method. A solver failure is recorded as an
+    infinite-loss marker row rather than aborting the run.
     """
-    seed = trial_seed(
-        config.base_seed, config.setup, config.n, config.d,
-        config.rho_or_p, eps, config.error_dist.label, trial,
+    cell = (
+        config.setup, config.n, config.d, config.rho_or_p, eps,
+        config.error_dist.label,
     )
+    seed = trial_seed(config.base_seed, *cell, trial)
     data = _make_trial_data(config, eps, seed)
+    k = trim_count(eps, config.n, config.trim_extra)
+    init = _initial_pair(config, seed)
+    mom_stream = RngSeed(seed, _STREAM_MOM)
+    blocks = config.mom_blocks or default_mom_blocks(eps, config.n)
+    # The solvers are looked up when a fit runs, so a patched module
+    # attribute (as the benchmark's tracer installs) is the one called.
+    fits = {
+        "OLS": lambda: fit_least_squares(data.X, data.y),
+        "TM-AASD": lambda: aasd(data, k, config.gd, init).beta_m,
+        "TM-PlugIn": lambda: plug_in(data, k, init, config.plugin_iters).beta_m,
+        "MoM": lambda: mom_regression(
+            data, blocks, config.gd, init, mom_stream
+        ).beta_m,
+        "Best-MoM": lambda: best_mom(
+            data, divisors(config.n), config.gd, init, mom_stream,
+            data.beta_star, data.pop_cov,
+        )[1].beta_m,
+    }
     records = []
     for method in config.methods:
         start = time.perf_counter()
         try:
-            beta_hat = _fit_method(method, data, config, eps, seed)
-            loss = loss_l2(beta_hat, data.beta_star, data.pop_cov)
+            loss = loss_l2(fits[method](), data.beta_star, data.pop_cov)
         except Exception:
             loss = math.inf
         records.append(
             TrialRecord(
-                setup=config.setup,
-                n=config.n,
-                d=config.d,
-                rho_or_p=config.rho_or_p,
-                eps=eps,
-                error_dist=config.error_dist.label,
-                method=method,
-                trial=trial,
-                seed=seed,
-                loss=loss,
+                *cell, method, trial, seed, loss,
                 wall_time=time.perf_counter() - start,
             )
         )
     return records
 
 
-def _run_trial_task(args) -> List[TrialRecord]:
-    config, eps, trial = args
-    return run_trial(config, eps, trial)
-
-
 def run_cell(
     config: ExperimentConfig, eps: float, workers: int = 1
 ) -> List[TrialRecord]:
-    """All trials of one cell; trials are independent work units."""
-    if not 0.0 <= eps < 0.5:
-        raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
-    if workers <= 1 or config.trials == 1:
-        groups = [run_trial(config, eps, t) for t in range(config.trials)]
-    else:
-        tasks = [(config, eps, t) for t in range(config.trials)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, config.trials // (4 * workers))
-            groups = list(pool.map(_run_trial_task, tasks, chunksize=chunk))
-    records = [rec for group in groups for rec in group]
-    records.sort(key=lambda r: r.sort_key)
-    return records
+    """All trials of one cell: run_experiment over the grid (eps,)."""
+    return run_experiment(replace(config, eps_grid=(eps,)), workers)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> List[TrialRecord]:
-    """Every cell of the config's eps grid, sorted for emission."""
-    records: List[TrialRecord] = []
-    for eps in config.eps_grid:
-        records.extend(run_cell(config, eps, workers=workers))
-    records.sort(key=lambda r: r.sort_key)
+    """Every trial of the config's eps grid, sorted for emission.
+
+    The trials are independent work units: with ``workers`` >= 2 they run in
+    one process pool for the whole grid, otherwise serially.
+    """
+    eps_seq = [eps for eps in config.eps_grid for _ in range(config.trials)]
+    trial_seq = [t for _ in config.eps_grid for t in range(config.trials)]
+    if workers <= 1 or len(trial_seq) <= 1:
+        groups = map(run_trial, repeat(config), eps_seq, trial_seq)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(trial_seq) // (4 * workers))
+            groups = list(pool.map(
+                run_trial, repeat(config), eps_seq, trial_seq, chunksize=chunk
+            ))
+    records = [rec for group in groups for rec in group]
+    records.sort(key=attrgetter("sort_key"))
     return records
 
 

@@ -17,7 +17,8 @@ import pytest
 from trimreg.bounds import c_epsilon, c_j_epsilon_curve, chernoff_coupling_bound
 from trimreg.bounds import MomentProfile, RegressionBoundInputs, UniformBoundInputs
 from trimreg.bounds import phi_p_regression, phi_p_uniform, phi_regression
-from trimreg.estimators import TrimSpec, phi_uniform, trimmed_mean
+from trimreg.bounds import phi_uniform
+from trimreg.estimators import TrimSpec, trimmed_mean
 from trimreg.harness import (
     ExperimentConfig,
     _initial_pair,

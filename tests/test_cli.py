@@ -181,7 +181,7 @@ def test_bounds_subcommand(tmp_path):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--outlier-y", "inf"], "dataset contains non-finite entries"),
+        (["--outlier-y", "inf"], "outlier_response"),
         (["--plugin-iters", "0"], "plugin_iters"),
         (["--mom-blocks", "0"], "mom_blocks"),
         (["--mom-blocks", "31"], "mom_blocks"),  # n = 30

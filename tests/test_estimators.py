@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from trimreg.bounds import phi_uniform
 from trimreg.estimators import (
     TrimSpec,
     exceedance_count,
     median_of_means,
-    phi_uniform,
     trimmed_mean,
     truncate,
     uniform_trimmed_estimate,

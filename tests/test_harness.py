@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trimreg.harness as harness
 from trimreg.harness import (
     COMPARISON_COLUMNS,
     DEFAULT_EPS_GRID,
+    METHODS,
     ExperimentConfig,
     SummaryStats,
     TrialRecord,
@@ -25,6 +27,7 @@ from trimreg.harness import (
     trim_count,
     write_table,
 )
+from trimreg.regression import GdConfig
 from trimreg.synthdata import ErrorDist
 
 
@@ -64,6 +67,12 @@ class TestConfig:
             ExperimentConfig(setup="B", n=10, p=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(setup="B", n=10, error_dist=ErrorDist.student_t(1))
+
+    @pytest.mark.parametrize("response", [math.inf, -math.inf, math.nan])
+    def test_non_finite_outlier_response_rejected(self, response):
+        # rejected with the config, before any trial runs, at every eps
+        with pytest.raises(ValueError, match="outlier_response"):
+            _small_config(eps_grid=(0.0,), outlier_response=response)
 
     def test_default_eps_grid_matches_protocol(self):
         assert DEFAULT_EPS_GRID == (0.0, 0.025, 0.05, 0.075, 0.1, 0.2, 0.3, 0.4)
@@ -144,6 +153,46 @@ class TestRunCell:
         cfg = _small_config(init_rule="zeros", trials=2)
         recs = run_cell(cfg, 0.0)
         assert all(math.isfinite(r.loss) for r in recs)
+
+
+class TestPool:
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(
+        setup=st.sampled_from("AB"),
+        n=st.integers(12, 30),
+        d=st.integers(1, 3),
+        eps_grid=st.lists(
+            st.sampled_from((0.0, 0.05, 0.1, 0.2)), min_size=2, max_size=3,
+            unique=True,
+        ),
+        methods=st.lists(
+            st.sampled_from(METHODS), min_size=1, max_size=3, unique=True
+        ),
+        trials=st.integers(1, 3),
+        base_seed=st.integers(0, 2**32),
+    )
+    def test_pool_records_equal_serial(self, **fields):
+        cfg = ExperimentConfig(
+            eps_grid=tuple(fields.pop("eps_grid")),
+            methods=tuple(fields.pop("methods")),
+            gd=GdConfig(max_iters=30),
+            **fields,
+        )
+        assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
+
+    def test_one_pool_per_run(self, monkeypatch):
+        built = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        cfg = _small_config(eps_grid=(0.0, 0.1), trials=2)
+        recs = run_experiment(cfg, workers=2)
+        assert len(built) == 1
+        assert recs == run_experiment(cfg)
 
 
 class TestSummarize:
