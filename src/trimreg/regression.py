@@ -101,6 +101,13 @@ def fit_least_squares(X, y) -> np.ndarray:
     ||X^T (y - X beta)||_inf <= 1e-8 * (1 + ||X^T y||_inf) on
     well-conditioned systems; rank-deficient systems get the minimum-norm
     minimizer.
+
+    Rows of X that are exactly zero leave the solve: each adds y_i^2 to the
+    SSE whatever beta is, so the minimizers, and the minimum-norm one, are
+    those of the other rows. The rank cutoff stays numpy's default for the
+    full m-by-d system; dropping zero rows leaves the singular values as
+    they are. With no zero row this is numpy's own call; with every row
+    zero, numpy solves an empty system and the answer is the zero vector.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -110,14 +117,27 @@ def fit_least_squares(X, y) -> np.ndarray:
         raise ValueError("need at least one observation")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("least-squares input contains non-finite entries")
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    nonzero = X.any(axis=1)
+    if nonzero.all():
+        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+        return beta
+    rcond = np.finfo(float).eps * max(X.shape)
+    beta, *_ = np.linalg.lstsq(X[nonzero], y[nonzero], rcond=rcond)
     return beta
 
 
+def _squared_residuals(X, y, beta) -> np.ndarray:
+    r = X @ beta - y
+    return r * r
+
+
 def _loss_diffs(X, y, beta_m, beta_M) -> np.ndarray:
-    rm = X @ beta_m - y
-    rM = X @ beta_M - y
-    return rm * rm - rM * rM
+    return _squared_residuals(X, y, beta_m) - _squared_residuals(X, y, beta_M)
+
+
+def _norm(v) -> float:
+    """Euclidean norm of a float vector: np.linalg.norm's own formula for it."""
+    return math.sqrt(v.dot(v))
 
 
 def _active_indices(diffs: np.ndarray, k: int) -> np.ndarray:
@@ -184,8 +204,8 @@ def aasd(
     Each iteration grows the step size by 1/THETA, recomputes the active set,
     descends beta_m on the frozen active-set SSE with backtracking, then
     recomputes the active set with the updated beta_m and applies the
-    symmetric update to beta_M. Both residual vectors are kept, so a
-    half-step recomputes only its own player's. Stops when the larger
+    symmetric update to beta_M. Both players' squared residuals are kept,
+    so a half-step recomputes only its own player's. Stops when the larger
     iterate movement drops to tol_delta, or after max_iters iterations.
     beta_m is the regression estimate.
     """
@@ -197,24 +217,21 @@ def aasd(
         init = RegressorPair.zeros(d)
     beta_m = init.beta_m.copy()
     beta_M = init.beta_M.copy()
-    rm = X @ beta_m - y
-    rM = X @ beta_M - y
+    Sm = _squared_residuals(X, y, beta_m)
+    SM = _squared_residuals(X, y, beta_M)
     eta = xi = INITIAL_STEP
     for _ in range(cfg.max_iters):
         eta /= THETA
-        idx = _active_indices(rm * rm - rM * rM, k)
+        idx = _active_indices(Sm - SM, k)
         new_m, eta = _armijo_half_step(X[idx], y[idx], beta_m, eta)
-        rm = X @ new_m - y
+        Sm = _squared_residuals(X, y, new_m)
 
         xi /= THETA
-        idx = _active_indices(rm * rm - rM * rM, k)
+        idx = _active_indices(Sm - SM, k)
         new_M, xi = _armijo_half_step(X[idx], y[idx], beta_M, xi)
-        rM = X @ new_M - y
+        SM = _squared_residuals(X, y, new_M)
 
-        delta = max(
-            float(np.linalg.norm(beta_m - new_m)),
-            float(np.linalg.norm(beta_M - new_M)),
-        )
+        delta = max(_norm(beta_m - new_m), _norm(beta_M - new_M))
         beta_m, beta_M = new_m, new_M
         if delta <= cfg.tol_delta:
             break
@@ -222,9 +239,18 @@ def aasd(
 
 
 def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M):
-    """(T_k(l(beta_m) - l(beta_M)), active set) from one loss-difference vector."""
+    """(T_k(l(beta_m) - l(beta_M)), active set) from one loss-difference vector.
+
+    One stable argsort serves both: ``trimmed_mean`` gets the sorted
+    differences, which its own stable sort leaves as they are, and the
+    active set is the middle of the order, as in _active_indices.
+    """
     diffs = _loss_diffs(X, y, beta_m, beta_M)
-    return trimmed_mean(diffs, spec), _active_indices(diffs, spec.k)
+    order = np.argsort(diffs, kind="stable")
+    value = trimmed_mean(diffs[order], spec)
+    keep = order[spec.k : spec.n - spec.k]
+    keep.sort()
+    return value, keep
 
 
 def _refit_half_step(X, y, spec: TrimSpec, beta, other, minimize: bool, current):

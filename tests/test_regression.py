@@ -12,13 +12,16 @@ from trimreg.harness import (
     trim_count,
 )
 from trimreg.estimators import _bucket_layout
+import trimreg.regression as regression
 from trimreg.regression import (
     CONCENTRATION_CAP,
     LINE_SEARCH_CAP,
     THETA,
     GdConfig,
     RegressorPair,
+    _active_indices,
     _armijo_half_step,
+    _evaluate,
     _loss_diffs,
     _median_buckets,
     _mom_descent,
@@ -95,6 +98,34 @@ class TestFitLeastSquares:
         with pytest.raises(ValueError):
             fit_least_squares(np.array([[np.inf]]), np.array([1.0]))
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        d=st.integers(1, 6),
+        zeros=st.integers(1, 40),
+        y_scale=st.floats(0.0, 1e6),
+    )
+    def test_zero_rows_leave_the_solution(self, seed, m, d, zeros, y_scale):
+        # an exactly-zero row adds y_i^2 to the SSE whatever beta is, so
+        # inserting such rows with any responses keeps the min-norm minimizer
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((m, d))
+        y = rng.standard_normal(m)
+        base = fit_least_squares(X, y)
+        assert np.array_equal(base, np.linalg.lstsq(X, y, rcond=None)[0])
+        at = rng.integers(0, m + 1, size=zeros)
+        Xz = np.insert(X, at, 0.0, axis=0)
+        yz = np.insert(y, at, y_scale * rng.standard_normal(zeros))
+        assert np.allclose(fit_least_squares(Xz, yz), base, rtol=1e-9, atol=1e-12)
+
+    def test_all_zero_rows_give_zeros(self):
+        y = np.random.default_rng(5).standard_normal(7)
+        for X in (np.zeros((7, 3)), np.full((7, 3), -0.0)):
+            beta = fit_least_squares(X, y)
+            assert beta.shape == (3,)
+            assert np.array_equal(beta, np.zeros(3))
+
 
 class TestActiveSet:
     def test_hand_example(self):
@@ -164,6 +195,71 @@ class TestActiveSet:
         diffs = _loss_diffs(X, y, pair.beta_m, pair.beta_M).tolist()
         ranked = sorted(range(n), key=lambda i: (diffs[i], i))
         assert active_set(pair, data, k).tolist() == sorted(ranked[k : n - k])
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestOneSortEvaluation:
+    """_evaluate's one argsort gives the bits of a trimmed mean and an active
+    set each computed from their own sort."""
+
+    @staticmethod
+    def _two_sorts(diffs, k):
+        return trimmed_mean(diffs, TrimSpec(k, diffs.size)), _active_indices(diffs, k)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 80),
+        d=st.integers(1, 3),
+        levels=st.integers(1, 3),
+        zeroed=st.floats(0.0, 0.9),
+        k_frac=st.floats(0.0, 1.0),
+        same_pair=st.booleans(),
+    )
+    def test_same_bits_on_masked_integer_data(
+        self, seed, n, d, levels, zeroed, k_frac, same_pair
+    ):
+        # integer data with zeroed rows: loss differences tie exactly, and
+        # runs of exact zeros straddle the trimming boundary
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-levels, levels + 1, size=(n, d)).astype(float)
+        X[rng.random(n) < zeroed] = 0.0
+        y = rng.integers(-levels, levels + 1, size=n).astype(float)
+        beta_m = rng.integers(-1, 2, size=d).astype(float)
+        beta_M = beta_m.copy() if same_pair else rng.integers(-1, 2, size=d).astype(float)
+        k = int(k_frac * ((n - 1) // 2))
+        value, idx = _evaluate(X, y, TrimSpec(k, n), beta_m, beta_M)
+        want_value, want_idx = self._two_sorts(_loss_diffs(X, y, beta_m, beta_M), k)
+        assert _bits(value) == _bits(want_value)
+        assert np.array_equal(idx, want_idx)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        diffs=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                st.floats(-1e6, 1e6, allow_subnormal=True),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        k_frac=st.floats(0.0, 1.0),
+    )
+    def test_same_bits_on_signed_zeros_and_ties(self, diffs, k_frac):
+        # loss differences of squares never come out -0.0, so the vector is
+        # fed to _evaluate in place of _loss_diffs' output
+        diffs = np.array(diffs)
+        n = diffs.size
+        k = int(k_frac * ((n - 1) // 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regression, "_loss_diffs", lambda *args: diffs.copy())
+            value, idx = _evaluate(None, None, TrimSpec(k, n), None, None)
+        want_value, want_idx = self._two_sorts(diffs, k)
+        assert _bits(value) == _bits(want_value)
+        assert np.array_equal(idx, want_idx)
 
 
 class TestArmijoStep:
