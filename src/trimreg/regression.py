@@ -47,6 +47,10 @@ LINE_SEARCH_CAP = 60
 # Refits one plug-in move may chain before it keeps the current iterate.
 CONCENTRATION_CAP = 60
 
+# Loss differences within this fraction of the mean squared response count
+# as exact zeros in plug_in; see _evaluate.
+ZERO_DIFF_RTOL = 1e-12
+
 # Default cap on plug-in rounds; the loop usually reaches its fixed point
 # well before it.
 PLUGIN_ITERS = 100
@@ -106,8 +110,9 @@ def fit_least_squares(X, y) -> np.ndarray:
     SSE whatever beta is, so the minimizers, and the minimum-norm one, are
     those of the other rows. The rank cutoff stays numpy's default for the
     full m-by-d system; dropping zero rows leaves the singular values as
-    they are. With no zero row this is numpy's own call; with every row
-    zero, numpy solves an empty system and the answer is the zero vector.
+    they are. With no zero row this is numpy's default call; with every
+    row zero, numpy solves an empty system and the answer is the zero
+    vector.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -117,12 +122,11 @@ def fit_least_squares(X, y) -> np.ndarray:
         raise ValueError("need at least one observation")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("least-squares input contains non-finite entries")
+    rcond = np.finfo(float).eps * max(X.shape)  # numpy's default for rcond=None
     nonzero = X.any(axis=1)
-    if nonzero.all():
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-        return beta
-    rcond = np.finfo(float).eps * max(X.shape)
-    beta, *_ = np.linalg.lstsq(X[nonzero], y[nonzero], rcond=rcond)
+    if not nonzero.all():
+        X, y = X[nonzero], y[nonzero]
+    beta, *_ = np.linalg.lstsq(X, y, rcond=rcond)
     return beta
 
 
@@ -135,22 +139,18 @@ def _loss_diffs(X, y, beta_m, beta_M) -> np.ndarray:
     return _squared_residuals(X, y, beta_m) - _squared_residuals(X, y, beta_M)
 
 
-def _norm(v) -> float:
-    """Euclidean norm of a float vector: np.linalg.norm's own formula for it."""
-    return math.sqrt(v.dot(v))
-
-
-def _active_indices(diffs: np.ndarray, k: int) -> np.ndarray:
+def _active_indices(diffs: np.ndarray, k: int, order=None) -> np.ndarray:
     """Indices surviving removal of the k largest and k smallest loss diffs.
 
-    Ties resolve by stable sort on (value, original index).
+    Ties resolve by stable sort on (value, original index); ``order``, if
+    given, is that stable argsort of ``diffs``.
     """
     n = diffs.shape[0]
     if k == 0:
         return np.arange(n)
-    keep = np.argsort(diffs, kind="stable")[k : n - k]
-    keep.sort()
-    return keep
+    if order is None:
+        order = np.argsort(diffs, kind="stable")
+    return np.sort(order[k : n - k])
 
 
 def active_set(pair: RegressorPair, data: Dataset, k: int) -> np.ndarray:
@@ -231,36 +231,46 @@ def aasd(
         new_M, xi = _armijo_half_step(X[idx], y[idx], beta_M, xi)
         SM = _squared_residuals(X, y, new_M)
 
-        delta = max(_norm(beta_m - new_m), _norm(beta_M - new_M))
+        delta = max(
+            float(np.linalg.norm(beta_m - new_m)),
+            float(np.linalg.norm(beta_M - new_M)),
+        )
         beta_m, beta_M = new_m, new_M
         if delta <= cfg.tol_delta:
             break
     return RegressorPair(beta_m, beta_M)
 
 
-def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M):
+def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M, tol: float):
     """(T_k(l(beta_m) - l(beta_M)), active set) from one loss-difference vector.
 
+    Differences within ``tol`` of zero are set to zero first. They are
+    rounding noise where exact arithmetic gives zero: two fits that
+    interpolate the same rows, or that differ only in their last bits, leave
+    them there. Their signs would otherwise pick the active set among the
+    exact zeros of the all-zero rows of a masked design, and decide between
+    a strict move and a tie in _refit_half_step.
+
     One stable argsort serves both: ``trimmed_mean`` gets the sorted
-    differences, which its own stable sort leaves as they are, and the
-    active set is the middle of the order, as in _active_indices.
+    differences, which its own stable sort leaves as they are, and
+    _active_indices takes the middle of the order.
     """
     diffs = _loss_diffs(X, y, beta_m, beta_M)
+    diffs[np.abs(diffs) <= tol] = 0.0
     order = np.argsort(diffs, kind="stable")
-    value = trimmed_mean(diffs[order], spec)
-    keep = order[spec.k : spec.n - spec.k]
-    keep.sort()
-    return value, keep
+    return trimmed_mean(diffs[order], spec), _active_indices(diffs, spec.k, order)
 
 
-def _refit_half_step(X, y, spec: TrimSpec, beta, other, minimize: bool, current):
+def _refit_half_step(
+    X, y, spec: TrimSpec, beta, other, minimize: bool, current, tol: float
+):
     """One player's move in the plug-in heuristic; returns (beta, evaluation).
 
     The player owns ``beta`` and faces ``other``: beta_m minimizes the
     objective and beta_M maximizes it; ``current`` is the evaluation (see
-    _evaluate) of the current pair. From ``beta`` a chain of concentration
-    steps runs, each an exact least-squares refit on the active set of the
-    previous chain point. The first refit that moves the objective strictly
+    _evaluate, which takes ``tol``) of the current pair. From ``beta`` a
+    chain of concentration steps runs, each an exact least-squares refit on
+    the active set of the previous chain point. The first refit that moves the objective strictly
     the player's way, or leaves it equal with a strictly smaller norm than
     ``beta``, replaces ``beta``. The test looks at ``beta`` and the refit
     only, so a pair the loop stops at is a fixed point of the round. A
@@ -277,7 +287,7 @@ def _refit_half_step(X, y, spec: TrimSpec, beta, other, minimize: bool, current)
         if step == 0 and np.array_equal(cand, beta):
             return beta, current
         pair = (cand, other) if minimize else (other, cand)
-        cand_value, cand_idx = _evaluate(X, y, spec, *pair)
+        cand_value, cand_idx = _evaluate(X, y, spec, *pair, tol)
         if sign * cand_value < sign * value or (
             cand_value == value and float(cand @ cand) < norm2
         ):
@@ -306,6 +316,9 @@ def plug_in(
     all zero, as in the masked Setup B), the refit replaces the iterate
     only if its norm is strictly smaller, the minimum-norm convention of
     fit_least_squares. Equal-F moves thus shrink a norm and cannot cycle.
+    F is taken with the loss differences within ZERO_DIFF_RTOL times the
+    mean squared response of zero set to zero (see _evaluate), so rounding
+    noise in a refit picks no active set and breaks no tie.
 
     A refit that fails this test usually left the active set it was fitted
     on, so F at the refit is taken over other rows. The refit's own active
@@ -330,10 +343,15 @@ def plug_in(
         init = RegressorPair.zeros(d)
     beta_m = init.beta_m.copy()
     beta_M = init.beta_M.copy()
-    current = _evaluate(X, y, spec, beta_m, beta_M)
+    tol = ZERO_DIFF_RTOL * float(y @ y) / n
+    current = _evaluate(X, y, spec, beta_m, beta_M, tol)
     for _ in range(iters):
-        new_m, current = _refit_half_step(X, y, spec, beta_m, beta_M, True, current)
-        new_M, current = _refit_half_step(X, y, spec, beta_M, new_m, False, current)
+        new_m, current = _refit_half_step(
+            X, y, spec, beta_m, beta_M, True, current, tol
+        )
+        new_M, current = _refit_half_step(
+            X, y, spec, beta_M, new_m, False, current, tol
+        )
         fixed = np.array_equal(new_m, beta_m) and np.array_equal(new_M, beta_M)
         beta_m, beta_M = new_m, new_M
         if fixed:
