@@ -48,7 +48,9 @@ LINE_SEARCH_CAP = 60
 CONCENTRATION_CAP = 60
 
 # Loss differences within this fraction of the mean squared response count
-# as exact zeros in plug_in; see _evaluate.
+# as exact zeros in plug_in; see _evaluate. The rounding noise of Setup-B
+# refits reaches about 1e-14 of it, and Setup-A runs have real differences
+# below 1e-9 of it.
 ZERO_DIFF_RTOL = 1e-12
 
 # Default cap on plug-in rounds; the loop usually reaches its fixed point
@@ -270,13 +272,14 @@ def _refit_half_step(
     objective and beta_M maximizes it; ``current`` is the evaluation (see
     _evaluate, which takes ``tol``) of the current pair. From ``beta`` a
     chain of concentration steps runs, each an exact least-squares refit on
-    the active set of the previous chain point. The first refit that moves the objective strictly
-    the player's way, or leaves it equal with a strictly smaller norm than
-    ``beta``, replaces ``beta``. The test looks at ``beta`` and the refit
-    only, so a pair the loop stops at is a fixed point of the round. A
-    first refit bit-equal to ``beta`` keeps ``beta`` unevaluated. The chain
-    gives up and keeps ``beta`` once a refit after the first fails to
-    improve on its predecessor, or after CONCENTRATION_CAP refits.
+    the active set of the previous chain point. The first refit that moves
+    the objective strictly the player's way, or leaves it equal with a
+    strictly smaller norm than ``beta``, replaces ``beta``. The test looks
+    at ``beta`` and the refit only, so a pair the loop stops at is a fixed
+    point of the round. A first refit bit-equal to ``beta`` keeps ``beta``
+    unevaluated. The chain gives up and keeps ``beta`` once a refit after
+    the first fails to improve on its predecessor, or after
+    CONCENTRATION_CAP refits.
     """
     sign = 1.0 if minimize else -1.0
     value = current[0]
@@ -316,9 +319,10 @@ def plug_in(
     all zero, as in the masked Setup B), the refit replaces the iterate
     only if its norm is strictly smaller, the minimum-norm convention of
     fit_least_squares. Equal-F moves thus shrink a norm and cannot cycle.
-    F is taken with the loss differences within ZERO_DIFF_RTOL times the
-    mean squared response of zero set to zero (see _evaluate), so rounding
-    noise in a refit picks no active set and breaks no tie.
+    F and the active sets are taken with every loss difference smaller in
+    size than ZERO_DIFF_RTOL times the mean squared response set to zero
+    (see _evaluate), so rounding noise in a refit picks no active set and
+    breaks no tie.
 
     A refit that fails this test usually left the active set it was fitted
     on, so F at the refit is taken over other rows. The refit's own active
