@@ -109,8 +109,9 @@ class ExperimentConfig:
 
     ``mom_blocks`` fixes the plain MoM bucket count; None picks
     default_mom_blocks per cell. ``outlier_response`` is the planted
-    response of Setup A's contaminated rows and must be finite. A bad
-    setting raises here, before any fit.
+    response of Setup A's contaminated rows and must be finite. A repeated
+    eps or method would run and summarize its trials twice. A bad setting
+    raises here, before any fit.
     """
 
     setup: str
@@ -145,9 +146,13 @@ class ExperimentConfig:
             raise ValueError(f"mom_blocks must lie in [1, n], got {self.mom_blocks}")
         if any(not 0.0 <= e < 0.5 for e in self.eps_grid):
             raise ValueError("every eps must lie in [0, 1/2)")
+        if len(set(self.eps_grid)) < len(self.eps_grid):  # 0.0 == -0.0
+            raise ValueError(f"eps_grid repeats a value: {self.eps_grid}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods repeats a name: {self.methods}")
         if self.setup == "A" and not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if self.setup == "A" and not math.isfinite(self.outlier_response):

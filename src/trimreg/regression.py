@@ -110,11 +110,10 @@ def fit_least_squares(X, y) -> np.ndarray:
 
     Rows of X that are exactly zero leave the solve: each adds y_i^2 to the
     SSE whatever beta is, so the minimizers, and the minimum-norm one, are
-    those of the other rows. The rank cutoff stays numpy's default for the
-    full m-by-d system; dropping zero rows leaves the singular values as
-    they are. With no zero row this is numpy's default call; with every
-    row zero, numpy solves an empty system and the answer is the zero
-    vector.
+    those of the other rows. The solve is numpy's default call on the rows
+    that remain, rank cutoff included, so a system with zero rows gives the
+    bits of the same system without them. With every row zero, numpy solves
+    an empty system and the answer is the zero vector.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -124,11 +123,10 @@ def fit_least_squares(X, y) -> np.ndarray:
         raise ValueError("need at least one observation")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("least-squares input contains non-finite entries")
-    rcond = np.finfo(float).eps * max(X.shape)  # numpy's default for rcond=None
     nonzero = X.any(axis=1)
     if not nonzero.all():
         X, y = X[nonzero], y[nonzero]
-    beta, *_ = np.linalg.lstsq(X, y, rcond=rcond)
+    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     return beta
 
 
@@ -263,30 +261,58 @@ def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M, tol: float):
     return trimmed_mean(diffs[order], spec), _active_indices(diffs, spec.k, order)
 
 
+def _refitter(X, y):
+    """Least-squares refits on active sets, each row set solved once.
+
+    Returns refit(idx), the fit_least_squares solution on rows ``idx``
+    (sorted indices). Only the rows of ``idx`` that carry covariates reach
+    the solver: the zero rows would leave it anyway, with the same bits
+    (see fit_least_squares). A set with none of them refits to the zero
+    vector, the minimum-norm minimizer. A row set solved before returns
+    the same array again, so callers must not modify it.
+    """
+    nonzero = X.any(axis=1)
+    solved = {}
+
+    def refit(idx):
+        rows = idx[nonzero[idx]]
+        key = rows.tobytes()
+        beta = solved.get(key)
+        if beta is None:
+            if rows.size:
+                beta = fit_least_squares(X[rows], y[rows])
+            else:
+                beta = np.zeros(X.shape[1])
+            solved[key] = beta
+        return beta
+
+    return refit
+
+
 def _refit_half_step(
-    X, y, spec: TrimSpec, beta, other, minimize: bool, current, tol: float
+    X, y, spec: TrimSpec, beta, other, minimize: bool, current, tol: float, refit
 ):
     """One player's move in the plug-in heuristic; returns (beta, evaluation).
 
     The player owns ``beta`` and faces ``other``: beta_m minimizes the
     objective and beta_M maximizes it; ``current`` is the evaluation (see
     _evaluate, which takes ``tol``) of the current pair. From ``beta`` a
-    chain of concentration steps runs, each an exact least-squares refit on
-    the active set of the previous chain point. The first refit that moves
-    the objective strictly the player's way, or leaves it equal with a
-    strictly smaller norm than ``beta``, replaces ``beta``. The test looks
-    at ``beta`` and the refit only, so a pair the loop stops at is a fixed
-    point of the round. A first refit bit-equal to ``beta`` keeps ``beta``
-    unevaluated. The chain gives up and keeps ``beta`` once a refit after
-    the first fails to improve on its predecessor, or after
-    CONCENTRATION_CAP refits.
+    chain of concentration steps runs, each an exact least-squares refit
+    (``refit``, see _refitter) on the active set of the previous chain
+    point. The first refit that moves the objective strictly the player's
+    way, or leaves it equal with a strictly smaller norm than ``beta``,
+    replaces ``beta``. The test looks at ``beta`` and the refit only, so a
+    pair the loop stops at is a fixed point of the round. A first refit
+    bit-equal to ``beta`` keeps ``beta`` unevaluated. The chain gives up
+    and keeps ``beta`` once a refit after the first fails to improve on its
+    predecessor, or after CONCENTRATION_CAP refits.
     """
     sign = 1.0 if minimize else -1.0
     value = current[0]
     point_value, idx = current
     norm2 = float(beta @ beta)
     for step in range(CONCENTRATION_CAP):
-        cand = fit_least_squares(X[idx], y[idx])
+        cand = refit(idx)
         if step == 0 and np.array_equal(cand, beta):
             return beta, current
         pair = (cand, other) if minimize else (other, cand)
@@ -337,6 +363,10 @@ def plug_in(
     and ``plug_in(data, k, result, iters=1)`` returns ``result``, or after
     ``iters`` rounds; ``iters`` is a cap, not a count. With k = 0 the first
     refit is the exact OLS minimizer of F, so it is kept.
+
+    A refit solves only the active rows that carry covariates, and each
+    such row set once per call (see _refitter); both leave the bits as
+    they are.
     """
     X, y = data.X, data.y
     n, d = X.shape
@@ -348,19 +378,21 @@ def plug_in(
     beta_m = init.beta_m.copy()
     beta_M = init.beta_M.copy()
     tol = ZERO_DIFF_RTOL * float(y @ y) / n
+    refit = _refitter(X, y)
     current = _evaluate(X, y, spec, beta_m, beta_M, tol)
     for _ in range(iters):
         new_m, current = _refit_half_step(
-            X, y, spec, beta_m, beta_M, True, current, tol
+            X, y, spec, beta_m, beta_M, True, current, tol, refit
         )
         new_M, current = _refit_half_step(
-            X, y, spec, beta_M, new_m, False, current, tol
+            X, y, spec, beta_M, new_m, False, current, tol, refit
         )
         fixed = np.array_equal(new_m, beta_m) and np.array_equal(new_M, beta_M)
         beta_m, beta_M = new_m, new_M
         if fixed:
             break
-    return RegressorPair(beta_m, beta_M)
+    # refits are shared arrays (see _refitter); the caller gets its own
+    return RegressorPair(beta_m.copy(), beta_M.copy())
 
 
 def _mom_layout(n: int, Ks):

@@ -198,6 +198,24 @@ def test_bad_run_setting_exits_2_with_no_output(tmp_path, capsys, flags, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eps-grid", "0.1,0.1", "--methods", "OLS"], "eps_grid repeats"),
+        (["--eps-grid", "0,-0", "--methods", "OLS"], "eps_grid repeats"),
+        (["--eps-grid", "0.1", "--methods", "OLS,OLS"], "methods repeats"),
+    ],
+)
+def test_repeated_grid_entry_exits_2_with_no_output(tmp_path, capsys, flags, message):
+    # a repeated entry once wrote each trial twice, with one seed, and
+    # summarized the doubled losses
+    out = tmp_path / "repeat"
+    argv = ["run-setup-a", "--n", "40", "--d", "3", "--trials", "2", "--out", str(out)]
+    assert main(argv + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_value_exits_nonzero(capsys):
     code = main(
         [

@@ -68,6 +68,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(setup="B", n=10, error_dist=ErrorDist.student_t(1))
 
+    @pytest.mark.parametrize(
+        "eps_grid", [(0.1, 0.1), (0.0, 0.2, 0.0), (0.0, -0.0), (-0.0, 0.1, 0.0)]
+    )
+    def test_repeated_eps_rejected(self, eps_grid):
+        # a repeated eps would run each of its trials twice, with one seed
+        with pytest.raises(ValueError, match="eps_grid repeats"):
+            _small_config(eps_grid=eps_grid)
+
+    @pytest.mark.parametrize(
+        "methods", [("OLS", "OLS"), ("OLS", "TM-PlugIn", "OLS")]
+    )
+    def test_repeated_method_rejected(self, methods):
+        with pytest.raises(ValueError, match="methods repeats"):
+            _small_config(methods=methods)
+
     @pytest.mark.parametrize("response", [math.inf, -math.inf, math.nan])
     def test_non_finite_outlier_response_rejected(self, response):
         # rejected with the config, before any trial runs, at every eps

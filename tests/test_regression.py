@@ -120,6 +120,40 @@ class TestFitLeastSquares:
         yz = np.insert(y, at, y_scale * rng.standard_normal(zeros))
         assert np.allclose(fit_least_squares(Xz, yz), base, rtol=1e-9, atol=1e-12)
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(0, 12),
+        d=st.integers(1, 8),
+        zeros=st.integers(1, 30),
+        y_scale=st.sampled_from([0.0, 1.0, 1e-300, 1e6, 1e300]),
+    )
+    def test_zero_rows_change_no_bit(self, seed, m, d, zeros, y_scale):
+        # the solve on the rows that carry covariates is the whole solve, so
+        # plug_in may hand over only those; m < d and m = 0 (every row zero,
+        # answer the zero vector) are drawn too, and the zeros carry either sign
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((m, d))
+        y = rng.standard_normal(m)
+        base = fit_least_squares(X, y) if m else np.zeros(d)
+        at = rng.integers(0, m + 1, size=zeros)
+        signed = np.where(rng.random((zeros, d)) < 0.5, 0.0, -0.0)
+        Xz = np.insert(X, at, signed, axis=0)
+        yz = np.insert(y, at, y_scale * rng.standard_normal(zeros))
+        assert np.array_equal(fit_least_squares(Xz, yz), base)
+
+    def test_rank_cutoff_is_that_of_the_rows_solved(self):
+        # sigma_2 / sigma_1 = 1e-14 lies between eps * 2 and eps * 1002: a
+        # cutoff taken over the zero rows as well would drop it
+        X = np.array([[1.0, 0.0], [0.0, 1e-14]])
+        y = np.array([1.0, 1.0])
+        base = fit_least_squares(X, y)
+        assert np.array_equal(base, np.linalg.lstsq(X, y, rcond=None)[0])
+        assert base[1] == pytest.approx(1e14)
+        Xz = np.vstack([X, np.zeros((1000, 2))])
+        yz = np.concatenate([y, np.ones(1000)])
+        assert np.array_equal(fit_least_squares(Xz, yz), base)
+
     def test_all_zero_rows_give_zeros(self):
         y = np.random.default_rng(5).standard_normal(7)
         for X in (np.zeros((7, 3)), np.full((7, 3), -0.0)):
@@ -462,11 +496,14 @@ class TestPlugIn:
         # Setup B (n=200), base seed 0. Refits that interpolate a few
         # nonzero rows leave loss differences of ~1e-33 where exact
         # arithmetic gives zero, and their signs once picked the active set
-        # and decided ties: solving with the zero rows left in, which
-        # changes only the last bits of each refit, moved 9 of these 32
-        # fits to another fixed point, with losses off by up to 6x.
+        # and decided ties: solving with zero rows added, which changes only
+        # the last bits of each refit, moved 9 of these 32 fits to another
+        # fixed point, with losses off by up to 6x. plug_in hands the solver
+        # only rows that carry covariates, so the patch adds zero rows back.
         def full_solve(X, y):
-            return np.linalg.lstsq(X, y, rcond=None)[0]
+            Xz = np.vstack([X, np.zeros((700, X.shape[1]))])
+            yz = np.concatenate([y, np.ones(700)])
+            return np.linalg.lstsq(Xz, yz, rcond=None)[0]
 
         n = 200
         for p, eps in ((0.3, 0.1), (0.6, 0.2)):
@@ -482,6 +519,43 @@ class TestPlugIn:
                     want = plug_in(data, k, init)
                 assert np.allclose(got.beta_m, want.beta_m, rtol=1e-9, atol=1e-12)
                 assert np.allclose(got.beta_M, want.beta_M, rtol=1e-9, atol=1e-12)
+
+    def test_one_solve_per_row_set(self):
+        # Setup B (n=1000, p=0.3) and Setup A (n=120, t1 noise), base seed 0.
+        # A refit on a row set that the same call has solved reuses that
+        # solution, and the result keeps its bits.
+        calls = []
+
+        def recording(X, y):
+            calls.append((X.shape, X.tobytes(), y.tobytes()))
+            return fit_least_squares(X, y)
+
+        t1 = ErrorDist.student_t(1)
+        cells = [
+            (ExperimentConfig(setup="B", n=1000, p=0.3), (0.0, 0.2)),
+            (ExperimentConfig(setup="A", n=120, error_dist=t1), (0.0, 0.1)),
+        ]
+        solves = 0
+        for config, eps_grid in cells:
+            for eps in eps_grid:
+                k = trim_count(eps, config.n)
+                for trial in range(4):
+                    seed = trial_seed(
+                        0, config.setup, config.n, config.d, config.rho_or_p, eps,
+                        config.error_dist.label, trial,
+                    )
+                    data = _make_trial_data(config, eps, seed)
+                    init = _initial_pair(config, seed)
+                    want = plug_in(data, k, init)
+                    calls.clear()
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(regression, "fit_least_squares", recording)
+                        got = plug_in(data, k, init)
+                    assert len(set(calls)) == len(calls)
+                    solves += len(calls)
+                    assert np.array_equal(got.beta_m, want.beta_m)
+                    assert np.array_equal(got.beta_M, want.beta_M)
+        assert solves > 0
 
 
 def _reference_active(X, y, beta_m, beta_M, k):
