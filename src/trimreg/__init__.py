@@ -1,13 +1,6 @@
 """Trimmed-mean robust estimation, regression heuristics, and benchmarks."""
 
-from .estimators import (
-    TrimSpec,
-    exceedance_count,
-    median_of_means,
-    trimmed_mean,
-    truncate,
-    uniform_trimmed_estimate,
-)
+from .estimators import TrimSpec, trimmed_mean
 from .synthdata import (
     Dataset,
     ErrorDist,
@@ -38,9 +31,7 @@ from .bounds import (
     c_j_epsilon,
     c_j_epsilon_curve,
     chernoff_coupling_bound,
-    coupling_hypotheses,
     critical_radii_linear,
-    excess_risk_bound,
     phi_p_regression,
     phi_p_uniform,
     phi_regression,
@@ -52,7 +43,6 @@ from .harness import (
     TrialRecord,
     delta_percent,
     emit,
-    run_cell,
     run_experiment,
     summarize,
 )

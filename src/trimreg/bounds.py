@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from ._rounding import ceil_int, floor_int
 
@@ -23,18 +23,14 @@ __all__ = [
     "c_j_epsilon",
     "c_j_epsilon_curve",
     "phi_uniform",
-    "PhiRegression",
     "phi_regression",
     "phi_p_uniform",
     "phi_p_regression",
-    "excess_risk_bound",
     "delta_q_default",
     "delta_m_default",
     "CriticalRadii",
     "critical_radii_linear",
     "chernoff_coupling_bound",
-    "CouplingHypotheses",
-    "coupling_hypotheses",
 ]
 
 
@@ -213,29 +209,13 @@ def phi_uniform(n: int, eps: float, alpha: float) -> float:
     return phi
 
 
-class PhiRegression(NamedTuple):
-    phi: float
-    side_condition_ok: Optional[bool]
-
-
-def phi_regression(
-    n: int, eps: float, alpha: float, theta0: Optional[float] = None
-) -> PhiRegression:
-    """Trimming level for the regression guarantee, plus its side condition.
+def phi_regression(n: int, eps: float, alpha: float) -> float:
+    """Trimming level for the regression guarantee.
 
     phi = (floor(eps*n) + max(ceil(ln(3/alpha)), ceil(eps*n/2))) / n.
-    When theta0 is supplied, the flag reports whether
-    phi + ln(3/alpha)/(2n) <= 1/(96 theta0^2); it is informational, never an
-    error.
     """
     _check_nea(n, eps, alpha)
-    phi = _trim_level(n, eps, math.log(3.0 / alpha), eps / 2.0)
-    ok = None
-    if theta0 is not None:
-        if theta0 < 1.0:
-            raise ValueError("theta0 must be >= 1")
-        ok = phi + math.log(3.0 / alpha) / (2.0 * n) <= 1.0 / (96.0 * theta0**2)
-    return PhiRegression(phi, ok)
+    return _trim_level(n, eps, math.log(3.0 / alpha), eps / 2.0)
 
 
 def phi_p_uniform(inputs: UniformBoundInputs) -> float:
@@ -269,15 +249,6 @@ def phi_p_regression(inputs: RegressionBoundInputs) -> float:
         )
     )
     return radius_part + moment_part
-
-
-def excess_risk_bound(phi: float, theta0: float) -> float:
-    """(1 + 1/(16 theta0^2)) * phi^2."""
-    if theta0 < 1.0:
-        raise ValueError("theta0 must be >= 1")
-    if phi < 0.0:
-        raise ValueError("phi must be nonnegative")
-    return (1.0 + 1.0 / (16.0 * theta0**2)) * phi * phi
 
 
 def delta_q_default(theta0: float) -> float:
@@ -332,22 +303,3 @@ def chernoff_coupling_bound(n: int, p: float, eps: float) -> float:
         raise ValueError(f"need eps > p for the bound, got eps={eps}, p={p}")
     exponent = (eps - p) ** 2 * n / (2.0 * p * (1.0 - p) + 2.0 * eps)
     return min(1.0, max(0.0, 1.0 - math.exp(-exponent)))
-
-
-class CouplingHypotheses(NamedTuple):
-    eps_ok: bool
-    n_ok: bool
-    n_required: float
-
-
-def coupling_hypotheses(n: int, p: float, eps: float, alpha: float) -> CouplingHypotheses:
-    """Check the hypotheses under which the coupling bound is meaningful:
-
-    eps >= 2p and n >= ((2(1-p) + 2 eps)/p) * ln(1/alpha).
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    n_required = (2.0 * (1.0 - p) + 2.0 * eps) / p * math.log(1.0 / alpha)
-    return CouplingHypotheses(eps >= 2.0 * p, n >= n_required, n_required)

@@ -342,11 +342,12 @@ def _cmd_compare_algs(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-
     step = args.eps_step
     if not 0.0 < step < 0.5:
-        raise ValueError(f"eps step must lie in (0, 0.5), got {step}")
+        raise ValueError(f"--eps-step must lie in (0, 0.5), got {step}")
+    if args.n_max < 10:
+        # the n grid of the slices starts at 10
+        raise ValueError(f"--n-max must be at least 10, got {args.n_max}")
     eps_grid = [0.0]
     eps = step
     while eps < 0.5 - 1e-12:
@@ -386,30 +387,34 @@ def _cmd_bounds(args) -> int:
         )
         return n, radii.r_q, radii.r_m_bound, bnd.phi_p_regression(inputs)
 
-    def out(name):
-        return os.path.join(args.out, name)
-
-    return _report([
-        write_table(
-            out("c_epsilon_curve.csv"),
+    # every row is computed before --out is created, so a bad setting
+    # leaves no directory behind
+    tables = [
+        (
+            "c_epsilon_curve.csv",
             ("eps", "c_epsilon"),
             [(e, bnd.c_epsilon(e)) for e in eps_grid],
         ),
-        write_table(
-            out("c_j_epsilon_curve.csv"),
+        (
+            "c_j_epsilon_curve.csv",
             ("eps", "c_j_epsilon"),
             bnd.c_j_epsilon_curve(eps_grid),
         ),
-        write_table(
-            out("phi_p_uniform_slice.csv"),
+        (
+            "phi_p_uniform_slice.csv",
             ("n", "phi_p_uniform"),
-            map(uniform_row, n_grid),
+            [uniform_row(n) for n in n_grid],
         ),
-        write_table(
-            out("phi_p_regression_slice.csv"),
+        (
+            "phi_p_regression_slice.csv",
             ("n", "r_q", "r_m_bound", "phi_p_regression"),
-            map(regression_row, n_grid),
+            [regression_row(n) for n in n_grid],
         ),
+    ]
+    os.makedirs(args.out, exist_ok=True)
+    return _report([
+        write_table(os.path.join(args.out, name), columns, rows)
+        for name, columns, rows in tables
     ])
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "trim_count",
     "default_mom_blocks",
     "run_trial",
-    "run_cell",
     "run_experiment",
     "summarize",
     "delta_percent",
@@ -368,13 +367,6 @@ def run_trial(config: ExperimentConfig, eps: float, trial: int) -> List[TrialRec
     return records
 
 
-def run_cell(
-    config: ExperimentConfig, eps: float, workers: int = 1
-) -> List[TrialRecord]:
-    """All trials of one cell: run_experiment over the grid (eps,)."""
-    return run_experiment(replace(config, eps_grid=(eps,)), workers)
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> List[TrialRecord]:
     """Every trial of the config's eps grid, sorted for emission.
 
@@ -383,7 +375,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> List[TrialReco
     """
     eps_seq = [eps for eps in config.eps_grid for _ in range(config.trials)]
     trial_seq = [t for _ in config.eps_grid for t in range(config.trials)]
-    if workers <= 1 or len(trial_seq) <= 1:
+    # never more workers than trials: each one is forked when the pool starts
+    workers = min(workers, len(trial_seq))
+    if workers <= 1:
         groups = map(run_trial, repeat(config), eps_seq, trial_seq)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

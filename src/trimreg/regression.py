@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import TrimSpec, _bucket_layout, trimmed_mean
+from .estimators import TrimSpec, trimmed_mean
 from .synthdata import Dataset, RngSeed
 
 __all__ = [
@@ -393,6 +393,16 @@ def plug_in(
             break
     # refits are shared arrays (see _refitter); the caller gets its own
     return RegressorPair(beta_m.copy(), beta_M.copy())
+
+
+def _bucket_layout(n: int, num_blocks: int):
+    """Contiguous balanced bucket offsets: sizes floor(n/K) or ceil(n/K)."""
+    base, extra = divmod(n, num_blocks)
+    sizes = np.full(num_blocks, base, dtype=np.intp)
+    sizes[:extra] += 1
+    starts = np.zeros(num_blocks, dtype=np.intp)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return starts, sizes
 
 
 def _mom_layout(n: int, Ks):

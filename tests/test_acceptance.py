@@ -24,7 +24,6 @@ from trimreg.harness import (
     _initial_pair,
     _make_trial_data,
     emit,
-    run_cell,
     run_experiment,
     summarize,
     trial_seed,
@@ -62,7 +61,7 @@ def _run_one_cell(setup, n, error, eps, methods, **kw):
         **kw,
     )
     start = time.perf_counter()
-    records = run_cell(cfg, eps, workers=WORKERS)
+    records = run_experiment(cfg, workers=WORKERS)
     elapsed = time.perf_counter() - start
     losses = {
         m: np.array([r.loss for r in records if r.method == m]) for m in methods
@@ -363,7 +362,7 @@ def test_criterion_8_phi_formula_oracles():
     )
     assert uniform_count == 75 and regression_count == 75
     got_u = phi_uniform(1000, 0.05, 0.05)
-    got_r = phi_regression(1000, 0.05, 0.05).phi
+    got_r = phi_regression(1000, 0.05, 0.05)
     ok = got_u == uniform_count / n == 0.075 and got_r == regression_count / n
     _report(
         "criterion-8a", ok,

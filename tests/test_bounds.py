@@ -11,12 +11,10 @@ from trimreg.bounds import (
     c_j_epsilon,
     c_j_epsilon_curve,
     chernoff_coupling_bound,
-    coupling_hypotheses,
     critical_radii_linear,
     default_eps_bar,
     delta_m_default,
     delta_q_default,
-    excess_risk_bound,
     phi_p_regression,
     phi_p_uniform,
     phi_regression,
@@ -120,28 +118,20 @@ class TestCJEpsilon:
 
 class TestPhiRegression:
     def test_reference_value(self):
-        res = phi_regression(1000, 0.05, 0.05)
-        assert res.phi == 0.075
-        assert res.side_condition_ok is None
+        assert phi_regression(1000, 0.05, 0.05) == 0.075
 
     def test_zero_contamination(self):
         # phi*n = ceil(ln(3/alpha)) exactly
         for alpha in (0.01, 0.05, 0.3, 0.9):
-            res = phi_regression(500, 0.0, alpha)
-            assert res.phi * 500 == pytest.approx(math.ceil(math.log(3 / alpha)))
-
-    def test_side_condition_flag(self):
-        bad = phi_regression(1000, 0.05, 0.05, theta0=2.0)
-        assert bad.side_condition_ok is False
-        good = phi_regression(1000, 0.0, 0.05, theta0=1.0)
-        assert good.side_condition_ok is True
+            phi = phi_regression(500, 0.0, alpha)
+            assert phi * 500 == pytest.approx(math.ceil(math.log(3 / alpha)))
 
     def test_independent_formula_oracle(self):
         n, eps, alpha = 730, 0.073, 0.11
         count = math.floor(eps * n) + max(
             math.ceil(math.log(3 / alpha)), math.ceil(eps * n / 2)
         )
-        assert phi_regression(n, eps, alpha).phi == pytest.approx(count / n)
+        assert phi_regression(n, eps, alpha) == pytest.approx(count / n)
 
 
 class TestPhiPUniform:
@@ -208,11 +198,6 @@ class TestPhiPRegression:
         assert phi_p_regression(self._inputs(r_q=1.0)) == 49152.0
         assert phi_p_regression(self._inputs(r_m=1.0)) == 49152.0 * 16.0
 
-    def test_excess_risk_companion(self):
-        assert excess_risk_bound(1.0, 1.0) == pytest.approx(17.0 / 16.0)
-        with pytest.raises(ValueError):
-            excess_risk_bound(1.0, 0.5)
-
     def test_delta_defaults(self):
         assert delta_q_default(2.0) == pytest.approx(1 / 64)
         assert delta_m_default(2.0) == pytest.approx(1 / 1792)
@@ -269,10 +254,3 @@ class TestChernoffCoupling:
     def test_requires_eps_above_p(self):
         with pytest.raises(ValueError):
             chernoff_coupling_bound(100, 0.2, 0.2)
-
-    def test_hypotheses_flags(self):
-        hyp = coupling_hypotheses(200, 0.05, 0.15, 0.05)
-        assert hyp.eps_ok  # 0.15 >= 2*0.05
-        assert hyp.n_required == pytest.approx((2 * 0.95 + 0.3) / 0.05 * math.log(20))
-        assert hyp.n_ok == (200 >= hyp.n_required)
-        assert not coupling_hypotheses(200, 0.2, 0.3, 0.05).eps_ok

@@ -181,6 +181,22 @@ def test_bounds_subcommand(tmp_path):
 @pytest.mark.parametrize(
     "flags, message",
     [
+        (["--n-max", "3"], "--n-max"),  # below the grid's first n, 10
+        (["--n-max", "0"], "--n-max"),
+        (["--eps-step", "0"], "--eps-step"),
+        (["--slice-eps", "0.6"], "eps must lie in"),  # checked per slice row
+    ],
+)
+def test_bad_bounds_setting_exits_2_with_no_output(tmp_path, capsys, flags, message):
+    out = tmp_path / "bad"
+    assert main(["bounds", "--out", str(out)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
         (["--outlier-y", "inf"], "outlier_response"),
         (["--plugin-iters", "0"], "plugin_iters"),
         (["--mom-blocks", "0"], "mom_blocks"),

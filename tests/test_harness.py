@@ -18,7 +18,6 @@ from trimreg.harness import (
     delta_percent,
     emit,
     load_records_json,
-    run_cell,
     run_experiment,
     run_trial,
     summarize,
@@ -123,50 +122,54 @@ class TestSeeds:
 
 class TestRunCell:
     def test_deterministic_records(self):
-        cfg = _small_config()
-        assert run_cell(cfg, 0.1) == run_cell(cfg, 0.1)
+        cfg = _small_config(eps_grid=(0.1,))
+        assert run_experiment(cfg) == run_experiment(cfg)
 
     def test_method_order_irrelevant(self):
-        a = _small_config(methods=("OLS", "TM-PlugIn"))
-        b = _small_config(methods=("TM-PlugIn", "OLS"))
-        losses_a = {(r.method, r.trial): r.loss for r in run_cell(a, 0.1)}
-        losses_b = {(r.method, r.trial): r.loss for r in run_cell(b, 0.1)}
+        a = _small_config(eps_grid=(0.1,), methods=("OLS", "TM-PlugIn"))
+        b = _small_config(eps_grid=(0.1,), methods=("TM-PlugIn", "OLS"))
+        losses_a = {(r.method, r.trial): r.loss for r in run_experiment(a)}
+        losses_b = {(r.method, r.trial): r.loss for r in run_experiment(b)}
         assert losses_a == losses_b
 
     def test_shared_dataset_across_methods(self):
         # OLS sees the contaminated rows, so at eps=0.2 with a clean-looking
         # trimmed fit the gap certifies both ran on the same planted data
-        cfg = _small_config(n=100, d=5, trials=3, methods=("OLS", "TM-PlugIn"))
-        recs = run_cell(cfg, 0.2)
+        cfg = _small_config(
+            n=100, d=5, eps_grid=(0.2,), trials=3, methods=("OLS", "TM-PlugIn")
+        )
+        recs = run_experiment(cfg)
         by_method = {m: [r.loss for r in recs if r.method == m] for m in cfg.methods}
         assert min(by_method["OLS"]) > 50.0
         assert max(by_method["TM-PlugIn"]) < 5.0
 
     def test_solver_failure_records_inf(self):
         # 2k >= n makes the trimmed methods fail; the cell must still complete
-        cfg = _small_config(n=8, d=2, trials=2, methods=("TM-PlugIn", "OLS"))
-        recs = run_cell(cfg, 0.2)  # k = 1 + 5 = 6, 2k = 12 >= 8
+        cfg = _small_config(
+            n=8, d=2, eps_grid=(0.2,), trials=2, methods=("TM-PlugIn", "OLS")
+        )
+        recs = run_experiment(cfg)  # k = 1 + 5 = 6, 2k = 12 >= 8
         plug = [r.loss for r in recs if r.method == "TM-PlugIn"]
         ols = [r.loss for r in recs if r.method == "OLS"]
         assert all(math.isinf(v) for v in plug)
         assert all(math.isfinite(v) for v in ols)
 
     def test_parallel_equals_serial(self):
-        cfg = _small_config(trials=8)
-        assert run_cell(cfg, 0.1, workers=1) == run_cell(cfg, 0.1, workers=4)
+        cfg = _small_config(eps_grid=(0.1,), trials=8)
+        assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=4)
 
     def test_setup_b_runs(self):
         cfg = ExperimentConfig(
             setup="B", n=60, d=4, p=0.5, eps_grid=(0.1,),
             methods=("OLS", "TM-AASD", "MoM", "Best-MoM"), trials=2, base_seed=3,
         )
-        recs = run_cell(cfg, 0.1)
+        recs = run_experiment(cfg)
         assert len(recs) == 8
         assert all(math.isfinite(r.loss) for r in recs)
 
     def test_zero_init_rule(self):
-        cfg = _small_config(init_rule="zeros", trials=2)
-        recs = run_cell(cfg, 0.0)
+        cfg = _small_config(eps_grid=(0.0,), init_rule="zeros", trials=2)
+        recs = run_experiment(cfg)
         assert all(math.isfinite(r.loss) for r in recs)
 
 
@@ -196,18 +199,22 @@ class TestPool:
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
 
     def test_one_pool_per_run(self, monkeypatch):
-        built = []
+        sizes = []
 
         class CountingPool(harness.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(self)
-                super().__init__(*args, **kwargs)
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         cfg = _small_config(eps_grid=(0.0, 0.1), trials=2)
         recs = run_experiment(cfg, workers=2)
-        assert len(built) == 1
+        assert sizes == [2]
         assert recs == run_experiment(cfg)
+        # a worker is forked per slot, so a pool gets no more slots than tasks
+        two_tasks = _small_config(eps_grid=(0.1,), trials=2)
+        assert run_experiment(two_tasks, workers=4) == run_experiment(two_tasks)
+        assert sizes == [2, 2]
 
 
 class TestSummarize:

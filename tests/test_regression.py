@@ -11,7 +11,6 @@ from trimreg.harness import (
     trial_seed,
     trim_count,
 )
-from trimreg.estimators import _bucket_layout
 import trimreg.regression as regression
 from trimreg.regression import (
     CONCENTRATION_CAP,
@@ -22,6 +21,7 @@ from trimreg.regression import (
     RegressorPair,
     _active_indices,
     _armijo_half_step,
+    _bucket_layout,
     _evaluate,
     _loss_diffs,
     _median_buckets,
@@ -746,6 +746,21 @@ def _heavy_tailed_problem(seed, n, d):
 
 
 class TestBatchedMom:
+    def test_bucket_layout_matches_array_split(self):
+        # contiguous buckets, the first n % K of them one longer, exactly
+        # as np.array_split splits
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            K = int(rng.integers(1, n + 1))
+            x = rng.standard_cauchy(n)
+            starts, sizes = _bucket_layout(n, K)
+            blocks = [x[s : s + z] for s, z in zip(starts, sizes)]
+            expected = np.array_split(x, K)
+            assert len(blocks) == len(expected) == K
+            for got, want in zip(blocks, expected):
+                assert np.array_equal(got, want)
+
     @PROPERTY
     @given(
         seed=st.integers(0, 2**32 - 1),
