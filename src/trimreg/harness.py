@@ -66,7 +66,6 @@ __all__ = [
     "write_table",
     "write_text",
     "emit",
-    "load_records_json",
     "table_grid_configs",
 ]
 
@@ -478,8 +477,7 @@ def emit(
     """Write trials and summary files under ``path``; returns written paths.
 
     Columns are TRIAL_COLUMNS and SUMMARY_COLUMNS, in the format of
-    write_table; rows are sorted by (cell, method, trial). JSON round-trips
-    through load_records_json.
+    write_table; rows are sorted by (cell, method, trial).
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
@@ -494,13 +492,6 @@ def emit(
         write_table(trials, TRIAL_COLUMNS, trial_rows, format),
         write_table(summary, SUMMARY_COLUMNS, summary_rows, format),
     ]
-
-
-def load_records_json(path) -> List[TrialRecord]:
-    """Read back records emitted as JSON (wall_time is not serialized)."""
-    with open(path, "r", encoding="ascii") as fh:
-        rows = json.load(fh)
-    return [TrialRecord(**row) for row in rows]
 
 
 def table_grid_configs(

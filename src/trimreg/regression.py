@@ -146,8 +146,6 @@ def _active_indices(diffs: np.ndarray, k: int, order=None) -> np.ndarray:
     given, is that stable argsort of ``diffs``.
     """
     n = diffs.shape[0]
-    if k == 0:
-        return np.arange(n)
     if order is None:
         order = np.argsort(diffs, kind="stable")
     return np.sort(order[k : n - k])
@@ -160,37 +158,23 @@ def active_set(pair: RegressorPair, data: Dataset, k: int) -> np.ndarray:
 
 
 def _armijo_step(step: float, g2: float, xg2: float):
-    """Backtracked Armijo step on a frozen active set; returns (taken, carried).
+    """Grown, then backtracked, Armijo step on a frozen active set; returns
+    (taken, carried).
 
-    On frozen rows SSE(beta - s*g) = SSE(beta) - s*||g||^2 + s^2*||X g||^2,
-    so a step s does not increase the SSE iff s*||X g||^2 <= ||g||^2; the
-    test needs ||g||^2 and ||X g||^2 only. From ``step`` the step shrinks by
-    THETA until the test holds. After LINE_SEARCH_CAP shrinks the step taken
-    is zero, and the step shrunk once more carries over to the next
-    iteration, as an accepted step does.
+    ``step`` is the step carried from the last iteration; it first grows by
+    1/THETA. On frozen rows SSE(beta - s*g) = SSE(beta) - s*||g||^2 +
+    s^2*||X g||^2, so a step s does not increase the SSE iff
+    s*||X g||^2 <= ||g||^2; the test needs ||g||^2 and ||X g||^2 only. From
+    the grown step the step shrinks by THETA until the test holds. After
+    LINE_SEARCH_CAP shrinks the step taken is zero, and the step shrunk once
+    more carries over to the next iteration, as an accepted step does.
     """
+    step /= THETA
     for _ in range(LINE_SEARCH_CAP + 1):
         if step * xg2 <= g2:
             return step, step
         step *= THETA
     return 0.0, step
-
-
-def _armijo_half_step(XI, yI, beta, step):
-    """One grown-then-backtracked gradient step on the active-set SSE.
-
-    Takes beta - s * grad for the largest s = step * THETA^j with
-    j <= LINE_SEARCH_CAP that does not increase the SSE over the active rows
-    (see _armijo_step); if none does, the iterate is kept unchanged.
-    Returns (new_beta, step) so the step size carries over to the next
-    iteration.
-    """
-    grad = -2.0 * (XI.T @ (yI - XI @ beta))
-    Xg = XI @ grad
-    taken, step = _armijo_step(step, float(grad @ grad), float(Xg @ Xg))
-    if taken == 0.0:
-        return beta, step
-    return beta - taken * grad, step
 
 
 def aasd(
@@ -201,11 +185,12 @@ def aasd(
 ) -> RegressorPair:
     """Alternating Armijo sub-gradient descent on the trimmed min-max objective.
 
-    Each iteration grows the step size by 1/THETA, recomputes the active set,
-    descends beta_m on the frozen active-set SSE with backtracking, then
-    recomputes the active set with the updated beta_m and applies the
-    symmetric update to beta_M. Both players' squared residuals are kept,
-    so a half-step recomputes only its own player's. Stops when the larger
+    Each iteration moves beta_m, then beta_M against the updated beta_m.
+    A player's half-step recomputes the active set and takes one grown,
+    then backtracked, gradient step on the frozen active-set SSE (see
+    _armijo_step); if no step passes the test the iterate stays as it is.
+    Both players' squared residuals are kept, so a half-step recomputes
+    only its own player's, and only when it moves. Stops when the larger
     iterate movement drops to tol_delta, or after max_iters iterations.
     beta_m is the regression estimate.
     """
@@ -215,30 +200,27 @@ def aasd(
     TrimSpec(k, n)  # raises unless 0 <= k and 2k < n
     if init is None:
         init = RegressorPair.zeros(d)
-    beta_m = init.beta_m.copy()
-    beta_M = init.beta_M.copy()
-    Sm = _squared_residuals(X, y, beta_m)
-    SM = _squared_residuals(X, y, beta_M)
-    eta = xi = INITIAL_STEP
+    betas = [init.beta_m.copy(), init.beta_M.copy()]
+    S = [_squared_residuals(X, y, beta) for beta in betas]
+    steps = [INITIAL_STEP, INITIAL_STEP]
     for _ in range(cfg.max_iters):
-        eta /= THETA
-        idx = _active_indices(Sm - SM, k)
-        new_m, eta = _armijo_half_step(X[idx], y[idx], beta_m, eta)
-        Sm = _squared_residuals(X, y, new_m)
-
-        xi /= THETA
-        idx = _active_indices(Sm - SM, k)
-        new_M, xi = _armijo_half_step(X[idx], y[idx], beta_M, xi)
-        SM = _squared_residuals(X, y, new_M)
-
-        delta = max(
-            float(np.linalg.norm(beta_m - new_m)),
-            float(np.linalg.norm(beta_M - new_M)),
-        )
-        beta_m, beta_M = new_m, new_M
+        delta = 0.0
+        for p in (0, 1):
+            idx = _active_indices(S[0] - S[1], k)
+            XI = X[idx]
+            grad = -2.0 * (XI.T @ (y[idx] - XI @ betas[p]))
+            Xg = XI @ grad
+            taken, steps[p] = _armijo_step(
+                steps[p], float(grad @ grad), float(Xg @ Xg)
+            )
+            if taken != 0.0:
+                new = betas[p] - taken * grad
+                delta = max(delta, float(np.linalg.norm(betas[p] - new)))
+                betas[p] = new
+                S[p] = _squared_residuals(X, y, new)
         if delta <= cfg.tol_delta:
             break
-    return RegressorPair(beta_m, beta_M)
+    return RegressorPair(*betas)
 
 
 def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M, tol: float):
@@ -499,9 +481,7 @@ def _mom_descent(
         return new, _rowwise(new, XsT) - ys, carried
 
     for _ in range(cfg.max_iters):
-        eta = eta / THETA
         new_m, Rm, eta = half_step(Bm, Rm, eta, Rm * Rm - RM * RM, layout)
-        xi = xi / THETA
         new_M, RM, xi = half_step(BM, RM, xi, Rm * Rm - RM * RM, layout)
         delta = np.maximum(
             np.linalg.norm(Bm - new_m, axis=1), np.linalg.norm(BM - new_M, axis=1)

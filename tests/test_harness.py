@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from trimreg.harness import (
     default_mom_blocks,
     delta_percent,
     emit,
-    load_records_json,
     run_experiment,
     run_trial,
     summarize,
@@ -315,7 +315,8 @@ class TestEmit:
         cfg = _small_config(trials=3)
         recs = run_experiment(cfg)
         emit(recs, summarize(recs), tmp_path, "json")
-        back = load_records_json(tmp_path / "trials.json")
+        with open(tmp_path / "trials.json", encoding="ascii") as fh:
+            back = [TrialRecord(**row) for row in json.load(fh)]
         assert back == recs
 
     def test_rerun_byte_identical(self, tmp_path):
