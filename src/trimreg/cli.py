@@ -299,6 +299,8 @@ def _report(written: List[str]) -> int:
 def _run_and_emit(args, configs, write_last) -> int:
     """Run every config, write the trials and summary tables, then the file
     ``write_last(stats)`` writes."""
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     records = []
     for config in configs:
         records.extend(run_experiment(config, workers=args.workers))

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "TrimSpec",
-    "as_sample",
     "trimmed_mean",
 ]
 
@@ -38,23 +37,18 @@ class TrimSpec:
             raise ValueError(f"need 2k < n, got k={self.k}, n={self.n}")
 
 
-def as_sample(values) -> np.ndarray:
-    """Coerce to a 1-D float array, rejecting NaN and infinities."""
+def trimmed_mean(values, spec: TrimSpec) -> float:
+    """Mean of the middle n - 2k order statistics.
+
+    Equals the sample mean when k = 0. Ties among equal values are
+    immaterial for the mean; sorting is stable regardless. The sample must
+    be 1-D and finite.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D sample, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("sample contains non-finite values")
-    return arr
-
-
-def trimmed_mean(values, spec: TrimSpec) -> float:
-    """Mean of the middle n - 2k order statistics.
-
-    Equals the sample mean when k = 0. Ties among equal values are
-    immaterial for the mean; sorting is stable regardless.
-    """
-    arr = as_sample(values)
     if arr.size != spec.n:
         raise ValueError(f"sample length {arr.size} != spec.n {spec.n}")
     middle = np.sort(arr, kind="stable")[spec.k : spec.n - spec.k]

@@ -4,7 +4,9 @@ The trimmed min-max objective over regressor pairs (beta_m, beta_M) is
 approached by two heuristics: alternating Armijo sub-gradient steps over the
 current active set, and alternating exact least-squares refits ("plug-in"),
 each kept only if it moves the objective in its player's favour, or leaves
-it equal with a smaller norm.
+it equal with a smaller norm. Both run in one driver, _alternate, which
+calls each heuristic's ``move`` for beta_m, then for beta_M, round after
+round, until a round's movement drops to a tolerance or a cap is reached.
 The median-of-means variant replaces the active set by the bucket whose mean
 loss difference achieves the median. Best-MoM sweeps bucket counts using
 oracle access to the true coefficients; it exists purely as an infeasible
@@ -177,6 +179,31 @@ def _armijo_step(step: float, g2: float, xg2: float):
     return 0.0, step
 
 
+def _alternate(move, init: RegressorPair, rounds: int, tol: float) -> RegressorPair:
+    """The alternating loop of aasd and plug_in; returns copies of the final pair.
+
+    Each round calls move(p, betas) for p = 0 (beta_m), then for p = 1
+    (beta_M) against the updated beta_m. A move returns betas[p] itself when
+    the player stays, and otherwise its new iterate, an array that differs
+    from betas[p]; it modifies no entry of ``betas``. A round's movement is
+    the largest norm of an iterate's change among the players that moved,
+    and -inf when neither did. The loop stops after a round whose movement
+    is at most ``tol``, or after ``rounds`` rounds; with tol = -inf it stops
+    only at a round where neither player moved.
+    """
+    betas = [init.beta_m, init.beta_M]
+    for _ in range(rounds):
+        delta = -math.inf
+        for p in (0, 1):
+            new = move(p, betas)
+            if new is not betas[p]:
+                delta = max(delta, float(np.linalg.norm(betas[p] - new)))
+                betas[p] = new
+        if delta <= tol:
+            break
+    return RegressorPair(betas[0].copy(), betas[1].copy())
+
+
 def aasd(
     data: Dataset,
     k: int,
@@ -200,27 +227,22 @@ def aasd(
     TrimSpec(k, n)  # raises unless 0 <= k and 2k < n
     if init is None:
         init = RegressorPair.zeros(d)
-    betas = [init.beta_m.copy(), init.beta_M.copy()]
-    S = [_squared_residuals(X, y, beta) for beta in betas]
+    S = [_squared_residuals(X, y, init.beta_m), _squared_residuals(X, y, init.beta_M)]
     steps = [INITIAL_STEP, INITIAL_STEP]
-    for _ in range(cfg.max_iters):
-        delta = 0.0
-        for p in (0, 1):
-            idx = _active_indices(S[0] - S[1], k)
-            XI = X[idx]
-            grad = -2.0 * (XI.T @ (y[idx] - XI @ betas[p]))
-            Xg = XI @ grad
-            taken, steps[p] = _armijo_step(
-                steps[p], float(grad @ grad), float(Xg @ Xg)
-            )
-            if taken != 0.0:
-                new = betas[p] - taken * grad
-                delta = max(delta, float(np.linalg.norm(betas[p] - new)))
-                betas[p] = new
-                S[p] = _squared_residuals(X, y, new)
-        if delta <= cfg.tol_delta:
-            break
-    return RegressorPair(*betas)
+
+    def move(p, betas):
+        idx = _active_indices(S[0] - S[1], k)
+        XI = X[idx]
+        grad = -2.0 * (XI.T @ (y[idx] - XI @ betas[p]))
+        Xg = XI @ grad
+        taken, steps[p] = _armijo_step(steps[p], float(grad @ grad), float(Xg @ Xg))
+        if taken == 0.0:
+            return betas[p]
+        new = betas[p] - taken * grad
+        S[p] = _squared_residuals(X, y, new)
+        return new
+
+    return _alternate(move, init, cfg.max_iters, cfg.tol_delta)
 
 
 def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M, tol: float):
@@ -231,7 +253,7 @@ def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M, tol: float):
     interpolate the same rows, or that differ only in their last bits, leave
     them there. Their signs would otherwise pick the active set among the
     exact zeros of the all-zero rows of a masked design, and decide between
-    a strict move and a tie in _refit_half_step.
+    a strict move and a tie in plug_in's player move.
 
     One stable argsort serves both: ``trimmed_mean`` gets the sorted
     differences, which its own stable sort leaves as they are, and
@@ -241,72 +263,6 @@ def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M, tol: float):
     diffs[np.abs(diffs) <= tol] = 0.0
     order = np.argsort(diffs, kind="stable")
     return trimmed_mean(diffs[order], spec), _active_indices(diffs, spec.k, order)
-
-
-def _refitter(X, y):
-    """Least-squares refits on active sets, each row set solved once.
-
-    Returns refit(idx), the fit_least_squares solution on rows ``idx``
-    (sorted indices). Only the rows of ``idx`` that carry covariates reach
-    the solver: the zero rows would leave it anyway, with the same bits
-    (see fit_least_squares). A set with none of them refits to the zero
-    vector, the minimum-norm minimizer. A row set solved before returns
-    the same array again, so callers must not modify it.
-    """
-    nonzero = X.any(axis=1)
-    solved = {}
-
-    def refit(idx):
-        rows = idx[nonzero[idx]]
-        key = rows.tobytes()
-        beta = solved.get(key)
-        if beta is None:
-            if rows.size:
-                beta = fit_least_squares(X[rows], y[rows])
-            else:
-                beta = np.zeros(X.shape[1])
-            solved[key] = beta
-        return beta
-
-    return refit
-
-
-def _refit_half_step(
-    X, y, spec: TrimSpec, beta, other, minimize: bool, current, tol: float, refit
-):
-    """One player's move in the plug-in heuristic; returns (beta, evaluation).
-
-    The player owns ``beta`` and faces ``other``: beta_m minimizes the
-    objective and beta_M maximizes it; ``current`` is the evaluation (see
-    _evaluate, which takes ``tol``) of the current pair. From ``beta`` a
-    chain of concentration steps runs, each an exact least-squares refit
-    (``refit``, see _refitter) on the active set of the previous chain
-    point. The first refit that moves the objective strictly the player's
-    way, or leaves it equal with a strictly smaller norm than ``beta``,
-    replaces ``beta``. The test looks at ``beta`` and the refit only, so a
-    pair the loop stops at is a fixed point of the round. A first refit
-    bit-equal to ``beta`` keeps ``beta`` unevaluated. The chain gives up
-    and keeps ``beta`` once a refit after the first fails to improve on its
-    predecessor, or after CONCENTRATION_CAP refits.
-    """
-    sign = 1.0 if minimize else -1.0
-    value = current[0]
-    point_value, idx = current
-    norm2 = float(beta @ beta)
-    for step in range(CONCENTRATION_CAP):
-        cand = refit(idx)
-        if step == 0 and np.array_equal(cand, beta):
-            return beta, current
-        pair = (cand, other) if minimize else (other, cand)
-        cand_value, cand_idx = _evaluate(X, y, spec, *pair, tol)
-        if sign * cand_value < sign * value or (
-            cand_value == value and float(cand @ cand) < norm2
-        ):
-            return cand, (cand_value, cand_idx)
-        if step > 0 and sign * cand_value >= sign * point_value:
-            break
-        point_value, idx = cand_value, cand_idx
-    return beta, current
 
 
 def plug_in(
@@ -336,8 +292,11 @@ def plug_in(
     on, so F at the refit is taken over other rows. The refit's own active
     set is then the one to concentrate on: refits continue from it while
     each lowers (for beta_m) or raises (for beta_M) F on its predecessor,
-    and the first of them that passes the test above is the move. Without
-    this, a start whose first active set holds planted outlier rows would
+    and the first of them that passes the test above is the move. A first
+    refit bit-equal to the iterate keeps the iterate unevaluated, and the
+    chain keeps the iterate once a refit after the first fails to improve
+    on its predecessor, or after CONCENTRATION_CAP refits. Without the
+    chain, a start whose first active set holds planted outlier rows would
     reject every refit and come back unchanged.
 
     The test depends on the current pair and the refit only, so the loop
@@ -346,9 +305,11 @@ def plug_in(
     ``iters`` rounds; ``iters`` is a cap, not a count. With k = 0 the first
     refit is the exact OLS minimizer of F, so it is kept.
 
-    A refit solves only the active rows that carry covariates, and each
-    such row set once per call (see _refitter); both leave the bits as
-    they are.
+    A refit solves only the active rows that carry covariates: the zero
+    rows would leave the solve anyway, with the same bits (see
+    fit_least_squares), and a set with none of them refits to the zero
+    vector, the minimum-norm minimizer. Each such row set is solved once
+    per call, and a repeat returns the same array.
     """
     X, y = data.X, data.y
     n, d = X.shape
@@ -357,24 +318,50 @@ def plug_in(
         raise ValueError("iters must be a positive integer")
     if init is None:
         init = RegressorPair.zeros(d)
-    beta_m = init.beta_m.copy()
-    beta_M = init.beta_M.copy()
     tol = ZERO_DIFF_RTOL * float(y @ y) / n
-    refit = _refitter(X, y)
-    current = _evaluate(X, y, spec, beta_m, beta_M, tol)
-    for _ in range(iters):
-        new_m, current = _refit_half_step(
-            X, y, spec, beta_m, beta_M, True, current, tol, refit
-        )
-        new_M, current = _refit_half_step(
-            X, y, spec, beta_M, new_m, False, current, tol, refit
-        )
-        fixed = np.array_equal(new_m, beta_m) and np.array_equal(new_M, beta_M)
-        beta_m, beta_M = new_m, new_M
-        if fixed:
-            break
-    # refits are shared arrays (see _refitter); the caller gets its own
-    return RegressorPair(beta_m.copy(), beta_M.copy())
+    nonzero = X.any(axis=1)
+    solved = {}
+
+    def refit(idx):
+        rows = idx[nonzero[idx]]
+        key = rows.tobytes()
+        beta = solved.get(key)
+        if beta is None:
+            if rows.size:
+                beta = fit_least_squares(X[rows], y[rows])
+            else:
+                beta = np.zeros(d)
+            solved[key] = beta
+        return beta
+
+    # (F, active set) of the current pair
+    current = _evaluate(X, y, spec, init.beta_m, init.beta_M, tol)
+
+    def move(p, betas):
+        # beta_m (p = 0) lowers F and beta_M (p = 1) raises it
+        nonlocal current
+        sign = 1 - 2 * p
+        beta = betas[p]
+        value = point_value = current[0]
+        idx = current[1]
+        norm2 = float(beta @ beta)
+        pair = list(betas)
+        for step in range(CONCENTRATION_CAP):
+            pair[p] = cand = refit(idx)
+            if step == 0 and np.array_equal(cand, beta):
+                return beta
+            cand_value, cand_idx = _evaluate(X, y, spec, *pair, tol)
+            if sign * cand_value < sign * value or (
+                cand_value == value and float(cand @ cand) < norm2
+            ):
+                current = (cand_value, cand_idx)
+                return cand
+            if step > 0 and sign * cand_value >= sign * point_value:
+                break
+            point_value, idx = cand_value, cand_idx
+        return beta
+
+    return _alternate(move, init, iters, -math.inf)
 
 
 def _bucket_layout(n: int, num_blocks: int):

@@ -201,6 +201,7 @@ def test_bad_bounds_setting_exits_2_with_no_output(tmp_path, capsys, flags, mess
         (["--plugin-iters", "0"], "plugin_iters"),
         (["--mom-blocks", "0"], "mom_blocks"),
         (["--mom-blocks", "31"], "mom_blocks"),  # n = 30
+        (["--workers", "0"], "--workers"),
     ],
 )
 def test_bad_run_setting_exits_2_with_no_output(tmp_path, capsys, flags, message):

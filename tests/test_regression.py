@@ -721,7 +721,8 @@ def _masked_problem(seed, n, d):
 
 class TestOneEvaluationPerPair:
     """aasd and plug_in give the same bits as the loops that recompute every
-    pair's loss differences."""
+    pair's loss differences, whether they stop at the tolerance or fixed
+    point, at the cap, or after a single round."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -730,18 +731,22 @@ class TestOneEvaluationPerPair:
         d=st.integers(1, 4),
         masked=st.booleans(),
         k_frac=st.floats(0.0, 1.0),
+        cap=st.integers(1, 40),
+        tol_delta=st.sampled_from([1e-4, 1e-1]),
     )
-    def test_same_bits_as_recomputing_loops(self, seed, n, d, masked, k_frac):
+    def test_same_bits_as_recomputing_loops(
+        self, seed, n, d, masked, k_frac, cap, tol_delta
+    ):
         make = _masked_problem if masked else _heavy_tailed_problem
         data, init = make(seed, n, d)
         k = int(k_frac * ((n - 1) // 2))
-        cfg = GdConfig(max_iters=40)
+        cfg = GdConfig(tol_delta=tol_delta, max_iters=cap)
         got = aasd(data, k, cfg, init)
         want_m, want_M = _reference_aasd(data, k, cfg, init)
         assert np.array_equal(got.beta_m, want_m)
         assert np.array_equal(got.beta_M, want_M)
-        got = plug_in(data, k, init, iters=20)
-        want_m, want_M = _reference_plug_in(data, k, init, 20)
+        got = plug_in(data, k, init, iters=cap)
+        want_m, want_M = _reference_plug_in(data, k, init, cap)
         assert np.array_equal(got.beta_m, want_m)
         assert np.array_equal(got.beta_M, want_M)
 
