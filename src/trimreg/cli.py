@@ -263,7 +263,7 @@ def build_parser() -> _Parser:
 
 
 def _config_metadata(config: ExperimentConfig) -> dict:
-    return {
+    meta = {
         "setup": config.setup,
         "n": config.n,
         "d": config.d,
@@ -276,6 +276,7 @@ def _config_metadata(config: ExperimentConfig) -> dict:
         "trim_rule": f"k = floor(eps*n) + {config.trim_extra}",
         "initializer": config.init_rule,
         "plugin_iters": config.plugin_iters,
+        "mom_blocks": config.mom_blocks,
         "descent": {
             "tol_delta": config.gd.tol_delta,
             "theta": THETA,
@@ -288,6 +289,9 @@ def _config_metadata(config: ExperimentConfig) -> dict:
             "parallelism degree",
         ],
     }
+    if config.setup == "A":
+        meta["outlier_response"] = config.outlier_response
+    return meta
 
 
 def _report(written: List[str]) -> int:

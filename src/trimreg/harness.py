@@ -142,10 +142,14 @@ class ExperimentConfig:
             raise ValueError(f"plugin_iters must be >= 1, got {self.plugin_iters}")
         if self.mom_blocks is not None and not 1 <= self.mom_blocks <= self.n:
             raise ValueError(f"mom_blocks must lie in [1, n], got {self.mom_blocks}")
+        if not self.eps_grid:
+            raise ValueError("eps_grid must hold at least one eps")
         if any(not 0.0 <= e < 0.5 for e in self.eps_grid):
             raise ValueError("every eps must lie in [0, 1/2)")
         if len(set(self.eps_grid)) < len(self.eps_grid):  # 0.0 == -0.0
             raise ValueError(f"eps_grid repeats a value: {self.eps_grid}")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")

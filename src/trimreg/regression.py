@@ -292,8 +292,7 @@ def plug_in(
     on, so F at the refit is taken over other rows. The refit's own active
     set is then the one to concentrate on: refits continue from it while
     each lowers (for beta_m) or raises (for beta_M) F on its predecessor,
-    and the first of them that passes the test above is the move. A first
-    refit bit-equal to the iterate keeps the iterate unevaluated, and the
+    and the first of them that passes the test above is the move. The
     chain keeps the iterate once a refit after the first fails to improve
     on its predecessor, or after CONCENTRATION_CAP refits. Without the
     chain, a start whose first active set holds planted outlier rows would
@@ -309,7 +308,10 @@ def plug_in(
     rows would leave the solve anyway, with the same bits (see
     fit_least_squares), and a set with none of them refits to the zero
     vector, the minimum-norm minimizer. Each such row set is solved once
-    per call, and a repeat returns the same array.
+    per call, and a repeat returns the same array. Likewise each pair's F
+    and active set are computed once per call, keyed by the pair's bytes:
+    a refit bit-equal to the iterate finds the current pair's F, ties it
+    with an equal norm, and is not kept.
     """
     X, y = data.X, data.y
     n, d = X.shape
@@ -320,43 +322,40 @@ def plug_in(
         init = RegressorPair.zeros(d)
     tol = ZERO_DIFF_RTOL * float(y @ y) / n
     nonzero = X.any(axis=1)
-    solved = {}
+    solved = {b"": np.zeros(d)}  # covariate row set -> refit
+    evaluated = {}  # pair bytes -> (F, active set)
 
     def refit(idx):
         rows = idx[nonzero[idx]]
         key = rows.tobytes()
         beta = solved.get(key)
         if beta is None:
-            if rows.size:
-                beta = fit_least_squares(X[rows], y[rows])
-            else:
-                beta = np.zeros(d)
-            solved[key] = beta
+            beta = solved[key] = fit_least_squares(X[rows], y[rows])
         return beta
 
-    # (F, active set) of the current pair
-    current = _evaluate(X, y, spec, init.beta_m, init.beta_M, tol)
+    def evaluate(pair):
+        key = pair[0].tobytes() + pair[1].tobytes()
+        hit = evaluated.get(key)
+        if hit is None:
+            hit = evaluated[key] = _evaluate(X, y, spec, *pair, tol)
+        return hit
 
     def move(p, betas):
         # beta_m (p = 0) lowers F and beta_M (p = 1) raises it
-        nonlocal current
         sign = 1 - 2 * p
         beta = betas[p]
-        value = point_value = current[0]
-        idx = current[1]
+        value, idx = evaluate(betas)
+        point_value = sign * math.inf
         norm2 = float(beta @ beta)
         pair = list(betas)
-        for step in range(CONCENTRATION_CAP):
+        for _ in range(CONCENTRATION_CAP):
             pair[p] = cand = refit(idx)
-            if step == 0 and np.array_equal(cand, beta):
-                return beta
-            cand_value, cand_idx = _evaluate(X, y, spec, *pair, tol)
+            cand_value, cand_idx = evaluate(pair)
             if sign * cand_value < sign * value or (
                 cand_value == value and float(cand @ cand) < norm2
             ):
-                current = (cand_value, cand_idx)
                 return cand
-            if step > 0 and sign * cand_value >= sign * point_value:
+            if sign * cand_value >= sign * point_value:
                 break
             point_value, idx = cand_value, cand_idx
         return beta

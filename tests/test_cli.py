@@ -26,7 +26,20 @@ def test_run_setup_a_writes_outputs(tmp_path, capsys):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["trim_rule"] == "k = floor(eps*n) + 5"
     assert meta["initializer"] == "random"
+    assert meta["outlier_response"] == 10000.0
+    assert meta["mom_blocks"] is None  # min(n, 2*floor(eps*n) + 5) per cell
     assert any("infeasible" in note for note in meta["notes"])
+    # both settings change the results, so the metadata records them
+    out = tmp_path / "runA-set"
+    argv = [
+        "run-setup-a", "--n", "30", "--d", "3", "--eps-grid", "0.1",
+        "--methods", "OLS,MoM", "--trials", "2", "--out", str(out),
+        "--outlier-y", "500", "--mom-blocks", "7",
+    ]
+    assert main(argv) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["outlier_response"] == 500.0
+    assert meta["mom_blocks"] == 7
 
 
 def test_run_setup_b_json_format(tmp_path):
@@ -46,6 +59,9 @@ def test_run_setup_b_json_format(tmp_path):
     rows = json.loads((out / "trials.json").read_text())
     assert len(rows) == 2
     assert rows[0]["setup"] == "B"
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["mom_blocks"] is None
+    assert "outlier_response" not in meta  # a Setup-A setting
 
 
 def test_config_file_argument(tmp_path):
@@ -202,6 +218,7 @@ def test_bad_bounds_setting_exits_2_with_no_output(tmp_path, capsys, flags, mess
         (["--mom-blocks", "0"], "mom_blocks"),
         (["--mom-blocks", "31"], "mom_blocks"),  # n = 30
         (["--workers", "0"], "--workers"),
+        (["--methods", ","], "methods"),
     ],
 )
 def test_bad_run_setting_exits_2_with_no_output(tmp_path, capsys, flags, message):

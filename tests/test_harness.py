@@ -52,6 +52,10 @@ class TestConfig:
             _small_config(eps_grid=(0.6,))
         with pytest.raises(ValueError):
             _small_config(methods=("OLS", "RANSAC"))
+        with pytest.raises(ValueError, match="methods"):
+            _small_config(methods=())
+        with pytest.raises(ValueError, match="eps_grid"):
+            _small_config(eps_grid=())
         with pytest.raises(ValueError):
             _small_config(trials=0)
         with pytest.raises(ValueError):

@@ -604,6 +604,42 @@ class TestPlugIn:
                     assert np.array_equal(got.beta_M, want.beta_M)
         assert solves > 0
 
+    def test_one_evaluation_per_pair(self):
+        # The cells of test_one_solve_per_row_set. A pair that the same call
+        # has evaluated reuses its objective and active set, and the result
+        # keeps its bits; recomputing them repeated 3, 8, 2 and 6
+        # evaluations in these four cells.
+        keys = []
+
+        def recording(X, y, spec, beta_m, beta_M, tol):
+            keys.append(beta_m.tobytes() + beta_M.tobytes())
+            return _evaluate(X, y, spec, beta_m, beta_M, tol)
+
+        t1 = ErrorDist.student_t(1)
+        cells = [
+            (ExperimentConfig(setup="B", n=1000, p=0.3), (0.0, 0.2)),
+            (ExperimentConfig(setup="A", n=120, error_dist=t1), (0.0, 0.1)),
+        ]
+        for config, eps_grid in cells:
+            for eps in eps_grid:
+                k = trim_count(eps, config.n)
+                for trial in range(4):
+                    seed = trial_seed(
+                        0, config.setup, config.n, config.d, config.rho_or_p, eps,
+                        config.error_dist.label, trial,
+                    )
+                    data = _make_trial_data(config, eps, seed)
+                    init = _initial_pair(config, seed)
+                    want = plug_in(data, k, init)
+                    keys.clear()
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(regression, "_evaluate", recording)
+                        got = plug_in(data, k, init)
+                    assert keys
+                    assert len(set(keys)) == len(keys)
+                    assert np.array_equal(got.beta_m, want.beta_m)
+                    assert np.array_equal(got.beta_M, want.beta_M)
+
 
 def _reference_active(X, y, beta_m, beta_M, k):
     n = y.shape[0]
