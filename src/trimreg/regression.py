@@ -141,16 +141,35 @@ def _loss_diffs(X, y, beta_m, beta_M) -> np.ndarray:
     return _squared_residuals(X, y, beta_m) - _squared_residuals(X, y, beta_M)
 
 
-def _active_indices(diffs: np.ndarray, k: int, order=None) -> np.ndarray:
+def _active_indices(diffs: np.ndarray, k: int, values=None) -> np.ndarray:
     """Indices surviving removal of the k largest and k smallest loss diffs.
 
-    Ties resolve by stable sort on (value, original index); ``order``, if
-    given, is that stable argsort of ``diffs``.
+    Rows rank by (value, original index), and the sorted indices of ranks
+    k to n-k-1 are returned; ``values``, if given, is ``np.sort(diffs)``.
+    The rank-(k-1) value lo and the rank-(n-k) value hi bound the rows
+    kept outright, lo < diff < hi. The rows equal to a bound that sorts on
+    both sides of its cut take their ranks in index order from the
+    bound's first position in ``values``, so the full permutation is never
+    needed.
     """
     n = diffs.shape[0]
-    if order is None:
-        order = np.argsort(diffs, kind="stable")
-    return np.sort(order[k : n - k])
+    if k == 0:
+        return np.arange(n)
+    if values is None:
+        values = np.sort(diffs)
+    lo, hi = values[k - 1], values[n - k]
+    keep = (lo < diffs) & (diffs < hi)
+    straddling = []
+    if values[k] == lo:
+        straddling.append(lo)
+    if values[n - k - 1] == hi and hi != lo:
+        straddling.append(hi)
+    for v in straddling:
+        # rows[j] has rank first + j; keep the ranks in [k, n - k)
+        rows = np.flatnonzero(diffs == v)
+        first = int(np.searchsorted(values, v))
+        keep[rows[max(k - first, 0) : n - k - first]] = True
+    return np.flatnonzero(keep)
 
 
 def active_set(pair: RegressorPair, data: Dataset, k: int) -> np.ndarray:
@@ -197,7 +216,9 @@ def _alternate(move, init: RegressorPair, rounds: int, tol: float) -> RegressorP
         for p in (0, 1):
             new = move(p, betas)
             if new is not betas[p]:
-                delta = max(delta, float(np.linalg.norm(betas[p] - new)))
+                step = betas[p] - new
+                # the bits of np.linalg.norm on a vector, without its wrapper
+                delta = max(delta, math.sqrt(step @ step))
                 betas[p] = new
         if delta <= tol:
             break
@@ -232,8 +253,8 @@ def aasd(
 
     def move(p, betas):
         idx = _active_indices(S[0] - S[1], k)
-        XI = X[idx]
-        grad = -2.0 * (XI.T @ (y[idx] - XI @ betas[p]))
+        XI = X.take(idx, 0)
+        grad = -2.0 * (XI.T @ (y.take(idx) - XI @ betas[p]))
         Xg = XI @ grad
         taken, steps[p] = _armijo_step(steps[p], float(grad @ grad), float(Xg @ Xg))
         if taken == 0.0:
@@ -255,14 +276,15 @@ def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M, tol: float):
     exact zeros of the all-zero rows of a masked design, and decide between
     a strict move and a tie in plug_in's player move.
 
-    One stable argsort serves both: ``trimmed_mean`` gets the sorted
+    One sort of the values serves both: ``trimmed_mean`` gets the sorted
     differences, which its own stable sort leaves as they are, and
-    _active_indices takes the middle of the order.
+    _active_indices reads its two cuts from them. The zeroing leaves no
+    -0.0, so the sorted values have the bits of any sort by (value, index).
     """
     diffs = _loss_diffs(X, y, beta_m, beta_M)
     diffs[np.abs(diffs) <= tol] = 0.0
-    order = np.argsort(diffs, kind="stable")
-    return trimmed_mean(diffs[order], spec), _active_indices(diffs, spec.k, order)
+    values = np.sort(diffs)
+    return trimmed_mean(values, spec), _active_indices(diffs, spec.k, values)
 
 
 def plug_in(

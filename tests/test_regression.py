@@ -231,15 +231,91 @@ class TestActiveSet:
         ranked = sorted(range(n), key=lambda i: (diffs[i], i))
         assert active_set(pair, data, k).tolist() == sorted(ranked[k : n - k])
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        k_frac=st.floats(0.0, 1.0),
+        levels=st.integers(0, 4),
+        straddle=st.sampled_from(["none", "lo", "hi", "both", "lo == hi"]),
+        below=st.integers(1, 12),
+        above=st.integers(1, 12),
+    )
+    def test_selection_matches_python_rank_of_value_index_pairs(
+        self, seed, n, k_frac, levels, straddle, below, above
+    ):
+        # integer values tie often; a run of one value is laid across the
+        # lower cut (between ranks k-1 and k), the upper cut (between ranks
+        # n-k-1 and n-k), both, or from one cut to the other; zeros come as
+        # 0.0 and -0.0 mixed
+        rng = np.random.default_rng(seed)
+        k = int(k_frac * ((n - 1) // 2))
+        ranked = np.sort(rng.integers(-levels, levels + 1, size=n).astype(float))
+        runs = {
+            "none": [],
+            "lo": [(k - below, k + above)],
+            "hi": [(n - k - below, n - k + above)],
+            "both": [(k - below, k + above), (n - k - below, n - k + above)],
+            "lo == hi": [(k - below, n - k + above)],
+        }[straddle]
+        for start, stop in runs:
+            start, stop = max(start, 0), min(stop, n)
+            # a block of a sorted vector set to one of its own values stays sorted
+            ranked[start:stop] = ranked[rng.integers(start, stop)]
+        diffs = rng.permutation(ranked)
+        zeros = np.flatnonzero(diffs == 0.0)
+        diffs[zeros] = rng.choice([0.0, -0.0], size=zeros.size)
+
+        values = diffs.tolist()
+        order = sorted(range(n), key=lambda i: (values[i], i))
+        want = sorted(order[k : n - k])
+        got = _active_indices(diffs, k)
+        assert got.tolist() == want
+        assert got.dtype == np.intp
+        presorted = _active_indices(diffs, k, np.sort(diffs))
+        assert np.array_equal(presorted, got)
+        assert presorted.dtype == got.dtype
+
+    def test_fits_keep_the_bits_of_a_stable_argsort_selection(self):
+        # reference selection: the middle of a stable argsort, which ranks
+        # by (value, index); it ignores the sorted values _evaluate passes
+        def argsort_selection(diffs, k, values=None):
+            order = np.argsort(diffs, kind="stable")
+            return np.sort(order[k : diffs.shape[0] - k])
+
+        t1, t2 = ErrorDist.student_t(1), ErrorDist.student_t(2)
+        cells = [
+            (aasd, ExperimentConfig(setup="A", n=120, error_dist=t2), 0.2),
+            (aasd, ExperimentConfig(setup="A", n=360, error_dist=t1), 0.05),
+            (plug_in, ExperimentConfig(setup="B", n=1000, p=0.3), 0.0),
+            (plug_in, ExperimentConfig(setup="B", n=1000, p=0.3), 0.2),
+            (plug_in, ExperimentConfig(setup="A", n=120, error_dist=t1), 0.1),
+        ]
+        for fit, config, eps in cells:
+            k = trim_count(eps, config.n)
+            for trial in range(2):
+                seed = trial_seed(
+                    0, config.setup, config.n, config.d, config.rho_or_p, eps,
+                    config.error_dist.label, trial,
+                )
+                data = _make_trial_data(config, eps, seed)
+                init = _initial_pair(config, seed)
+                got = fit(data, k, init=init)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(regression, "_active_indices", argsort_selection)
+                    want = fit(data, k, init=init)
+                assert np.array_equal(got.beta_m, want.beta_m)
+                assert np.array_equal(got.beta_M, want.beta_M)
+
 
 def _bits(value: float) -> bytes:
     return np.float64(value).tobytes()
 
 
 class TestOneSortEvaluation:
-    """_evaluate's one argsort gives the bits of a trimmed mean and an active
-    set each computed from their own sort, after differences within the
-    tolerance of zero are set to zero."""
+    """_evaluate's one sort of the values gives the bits of a trimmed mean
+    and an active set each computed from their own sort, after differences
+    within the tolerance of zero are set to zero."""
 
     @staticmethod
     def _two_sorts(diffs, k, tol):
