@@ -7,6 +7,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +43,21 @@ def trimmed_mean(values, spec: TrimSpec) -> float:
 
     Equals the sample mean when k = 0. Ties among equal values are
     immaterial for the mean; sorting is stable regardless. The sample must
-    be 1-D and finite.
+    be 1-D, of length n and finite. A sample already in ascending order is
+    averaged as it is: it would sort to itself.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D sample, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample contains non-finite values")
     if arr.size != spec.n:
         raise ValueError(f"sample length {arr.size} != spec.n {spec.n}")
-    middle = np.sort(arr, kind="stable")[spec.k : spec.n - spec.k]
-    return float(middle.mean())
+    # Every comparison with a NaN is false, so an ascending sample holds no
+    # NaN, and it is finite when its two ends are.
+    if (arr[:-1] <= arr[1:]).all():
+        finite = math.isfinite(arr[0]) and math.isfinite(arr[-1])
+    else:
+        finite = np.isfinite(arr).all()
+        arr = np.sort(arr, kind="stable")
+    if not finite:
+        raise ValueError("sample contains non-finite values")
+    return float(arr[spec.k : spec.n - spec.k].mean())

@@ -4,7 +4,10 @@ A cell is one (setup, n, d, correlation-or-mask-rate, eps, error) choice; a
 trial generates one contaminated dataset and runs every requested method on
 it, scoring against the true coefficients under the population covariance.
 Per-trial seeds are derived by hashing the cell identity, so any degree of
-parallelism produces byte-identical output after the final sort.
+parallelism produces byte-identical output after the final sort. An eps's
+trials run in chunks, and TM-AASD descends a chunk's trials as one batch in
+which each trial keeps the bits it has alone, so neither the chunking nor
+the worker count moves a byte.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +51,7 @@ from .synthdata import (
 
 __all__ = [
     "METHODS",
+    "CHUNK_TRIALS",
     "DEFAULT_EPS_GRID",
     "ExperimentConfig",
     "TrialRecord",
@@ -72,6 +76,11 @@ __all__ = [
 METHODS = ("TM-AASD", "TM-PlugIn", "OLS", "MoM", "Best-MoM")
 
 DEFAULT_EPS_GRID = (0.0, 0.025, 0.05, 0.075, 0.1, 0.2, 0.3, 0.4)
+
+# Trials per run_experiment task. TM-AASD descends a task's trials as one
+# batch, with each trial's bits the same as alone; the tasks are cut from
+# each eps's trial list, whatever the worker count.
+CHUNK_TRIALS = 8
 
 # RngSeed stream indices: data generation, contamination, MoM shuffling,
 # iterate initialization.
@@ -323,28 +332,94 @@ def _initial_pair(config: ExperimentConfig, seed: int) -> RegressorPair:
     )
 
 
-def run_trial(config: ExperimentConfig, eps: float, trial: int) -> List[TrialRecord]:
+class _TrialInputs(NamedTuple):
+    """What every method of one trial shares: the trial's seed, dataset,
+    trimming count and starting pair."""
+
+    seed: int
+    data: Dataset
+    k: int
+    init: RegressorPair
+
+    @classmethod
+    def build(cls, config: ExperimentConfig, eps: float, trial: int) -> "_TrialInputs":
+        seed = trial_seed(config.base_seed, *_cell(config, eps), trial)
+        return cls(
+            seed, _make_trial_data(config, eps, seed),
+            trim_count(eps, config.n, config.trim_extra), _initial_pair(config, seed),
+        )
+
+
+def _cell(config: ExperimentConfig, eps: float) -> tuple:
+    return (
+        config.setup, config.n, config.d, config.rho_or_p, eps,
+        config.error_dist.label,
+    )
+
+
+def _aasd_fits(config: ExperimentConfig, inputs: Sequence[_TrialInputs]):
+    """Each trial's TM-AASD beta_m, or the exception its fit raised, and the
+    fit time per trial.
+
+    One aasd call descends every trial of ``inputs`` as a batch. If it
+    raises, each trial is fitted alone, with the bits it has in the batch,
+    so that a failure marks only the trial it belongs to.
+    """
+    start = time.perf_counter()
+    try:
+        pairs = aasd(
+            [t.data for t in inputs], inputs[0].k, config.gd, [t.init for t in inputs]
+        )
+        fits = [pair.beta_m for pair in pairs]
+    except Exception:
+        fits = []
+        for t in inputs:
+            try:
+                fits.append(aasd(t.data, t.k, config.gd, t.init).beta_m)
+            except Exception as exc:
+                fits.append(exc)
+    return fits, (time.perf_counter() - start) / len(inputs)
+
+
+def _fitted(beta):
+    """``beta``, or raise it if the fit raised it."""
+    if isinstance(beta, Exception):
+        raise beta
+    return beta
+
+
+def run_trial(
+    config: ExperimentConfig,
+    eps: float,
+    trial: int,
+    inputs: Optional[_TrialInputs] = None,
+    aasd_fit=None,
+) -> List[TrialRecord]:
     """All requested methods on one shared contaminated dataset.
 
     The dataset, trimming count, starting pair and MoM stream are built once
     and shared by every method. A solver failure is recorded as an
     infinite-loss marker row rather than aborting the run.
+
+    A chunk of run_experiment passes the trial's ``inputs``, and, when
+    TM-AASD is requested, ``aasd_fit``: the trial's (beta_m or the
+    exception raised, seconds) from the chunk's batched descent, whose
+    seconds become the record's wall_time. A call without them builds the
+    trial and fits TM-AASD on it alone.
     """
-    cell = (
-        config.setup, config.n, config.d, config.rho_or_p, eps,
-        config.error_dist.label,
-    )
-    seed = trial_seed(config.base_seed, *cell, trial)
-    data = _make_trial_data(config, eps, seed)
-    k = trim_count(eps, config.n, config.trim_extra)
-    init = _initial_pair(config, seed)
+    if inputs is None:
+        inputs = _TrialInputs.build(config, eps, trial)
+    if aasd_fit is None and "TM-AASD" in config.methods:
+        fits, seconds = _aasd_fits(config, [inputs])
+        aasd_fit = (fits[0], seconds)
+    data, k, init, seed = inputs.data, inputs.k, inputs.init, inputs.seed
     mom_stream = RngSeed(seed, _STREAM_MOM)
     blocks = config.mom_blocks or default_mom_blocks(eps, config.n)
     # The solvers are looked up when a fit runs, so a patched module
     # attribute (as the benchmark's tracer installs) is the one called.
     fits = {
         "OLS": lambda: fit_least_squares(data.X, data.y),
-        "TM-AASD": lambda: aasd(data, k, config.gd, init).beta_m,
+        "TM-AASD": lambda: _fitted(aasd_fit[0]),
         "TM-PlugIn": lambda: plug_in(data, k, init, config.plugin_iters).beta_m,
         "MoM": lambda: mom_regression(
             data, blocks, config.gd, init, mom_stream
@@ -361,32 +436,54 @@ def run_trial(config: ExperimentConfig, eps: float, trial: int) -> List[TrialRec
             loss = loss_l2(fits[method](), data.beta_star, data.pop_cov)
         except Exception:
             loss = math.inf
+        wall_time = time.perf_counter() - start
+        if method == "TM-AASD":
+            wall_time = aasd_fit[1]
         records.append(
             TrialRecord(
-                *cell, method, trial, seed, loss,
-                wall_time=time.perf_counter() - start,
+                *_cell(config, eps), method, trial, seed, loss, wall_time=wall_time
             )
         )
     return records
 
 
+def _run_chunk(config: ExperimentConfig, eps: float, first: int) -> List[TrialRecord]:
+    """Trials first, first + 1, ... of eps, at most CHUNK_TRIALS of them.
+
+    Without TM-AASD each trial is built and run in turn, so only one
+    trial's dataset is held at a time.
+    """
+    trials = range(first, min(first + CHUNK_TRIALS, config.trials))
+    if "TM-AASD" not in config.methods:
+        return [rec for t in trials for rec in run_trial(config, eps, t)]
+    inputs = [_TrialInputs.build(config, eps, t) for t in trials]
+    fits, seconds = _aasd_fits(config, inputs)
+    return [
+        rec
+        for t, trial_inputs, beta in zip(trials, inputs, fits)
+        for rec in run_trial(config, eps, t, trial_inputs, (beta, seconds))
+    ]
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> List[TrialRecord]:
     """Every trial of the config's eps grid, sorted for emission.
 
-    The trials are independent work units: with ``workers`` >= 2 they run in
-    one process pool for the whole grid, otherwise serially.
+    The trials of each eps run in chunks of CHUNK_TRIALS, which are
+    independent work units: with ``workers`` >= 2 they run in one process
+    pool for the whole grid, otherwise serially.
     """
-    eps_seq = [eps for eps in config.eps_grid for _ in range(config.trials)]
-    trial_seq = [t for _ in config.eps_grid for t in range(config.trials)]
+    chunks = range(0, config.trials, CHUNK_TRIALS)
+    eps_seq = [eps for eps in config.eps_grid for _ in chunks]
+    first_seq = [first for _ in config.eps_grid for first in chunks]
     # never more workers than trials: each one is forked when the pool starts
-    workers = min(workers, len(trial_seq))
+    workers = min(workers, config.trials * len(config.eps_grid))
     if workers <= 1:
-        groups = map(run_trial, repeat(config), eps_seq, trial_seq)
+        groups = map(_run_chunk, repeat(config), eps_seq, first_seq)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(trial_seq) // (4 * workers))
+            chunk = max(1, len(first_seq) // (4 * workers))
             groups = list(pool.map(
-                run_trial, repeat(config), eps_seq, trial_seq, chunksize=chunk
+                _run_chunk, repeat(config), eps_seq, first_seq, chunksize=chunk
             ))
     records = [rec for group in groups for rec in group]
     records.sort(key=attrgetter("sort_key"))

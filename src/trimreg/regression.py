@@ -4,22 +4,25 @@ The trimmed min-max objective over regressor pairs (beta_m, beta_M) is
 approached by two heuristics: alternating Armijo sub-gradient steps over the
 current active set, and alternating exact least-squares refits ("plug-in"),
 each kept only if it moves the objective in its player's favour, or leaves
-it equal with a smaller norm. Both run in one driver, _alternate, which
-calls each heuristic's ``move`` for beta_m, then for beta_M, round after
-round, until a round's movement drops to a tolerance or a cap is reached.
-The median-of-means variant replaces the active set by the bucket whose mean
-loss difference achieves the median. Best-MoM sweeps bucket counts using
-oracle access to the true coefficients; it exists purely as an infeasible
-benchmark baseline. Its candidate bucket counts descend together, as one
-batch of iterate rows, and plain MoM is the one-candidate batch. Every
-descent takes the closed-form Armijo step: on a frozen active set the SSE
-is quadratic along the gradient, so the step test needs no SSE evaluation.
+it equal with a smaller norm. Both move beta_m, then beta_M, round after
+round. The descent runs as one kernel over a batch of trials of one shape,
+with stacked products that give each trial the bits of its one-trial run;
+a trial leaves the batch when its movement drops to a tolerance. The refits
+stop at a fixed point or at a round cap. The median-of-means variant
+replaces the active set by the bucket whose mean loss difference achieves
+the median. Best-MoM sweeps bucket counts using oracle access to the true
+coefficients; it exists purely as an infeasible benchmark baseline. Its
+candidate bucket counts descend together, as one batch of iterate rows,
+and plain MoM is the one-candidate batch. Every descent takes the
+closed-form Armijo step: on a frozen active set the SSE is quadratic along
+the gradient, so the step test needs no SSE evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -166,10 +169,10 @@ def _active_indices(diffs: np.ndarray, k: int, values=None) -> np.ndarray:
         straddling.append(hi)
     for v in straddling:
         # rows[j] has rank first + j; keep the ranks in [k, n - k)
-        rows = np.flatnonzero(diffs == v)
+        rows = (diffs == v).nonzero()[0]
         first = int(np.searchsorted(values, v))
         keep[rows[max(k - first, 0) : n - k - first]] = True
-    return np.flatnonzero(keep)
+    return keep.nonzero()[0]
 
 
 def active_set(pair: RegressorPair, data: Dataset, k: int) -> np.ndarray:
@@ -198,72 +201,142 @@ def _armijo_step(step: float, g2: float, xg2: float):
     return 0.0, step
 
 
-def _alternate(move, init: RegressorPair, rounds: int, tol: float) -> RegressorPair:
-    """The alternating loop of aasd and plug_in; returns copies of the final pair.
+def _dots(u, v) -> np.ndarray:
+    """u[t] . v[t] for every t of two stacks of columns (T-by-len-by-1)."""
+    return np.matmul(u.transpose(0, 2, 1), v).ravel()
 
-    Each round calls move(p, betas) for p = 0 (beta_m), then for p = 1
-    (beta_M) against the updated beta_m. A move returns betas[p] itself when
-    the player stays, and otherwise its new iterate, an array that differs
-    from betas[p]; it modifies no entry of ``betas``. A round's movement is
-    the largest norm of an iterate's change among the players that moved,
-    and -inf when neither did. The loop stops after a round whose movement
-    is at most ``tol``, or after ``rounds`` rounds; with tol = -inf it stops
-    only at a round where neither player moved.
+
+def _kept_rows(diffs, values, k: int) -> np.ndarray:
+    """Flat indices of every trial's active set in a stack of T*n rows.
+
+    ``diffs`` is T-by-n, ``values`` is ``np.sort(diffs, axis=1)`` and
+    0 < k. The rows strictly between a trial's rank-(k-1) and rank-(n-k)
+    values are its active set whenever they number n - 2k; fewer means a
+    tie straddles a cut, and that trial takes _active_indices instead.
+    Each trial's indices come out in increasing order, as _active_indices
+    gives them. NaN differences, as overflowing residuals leave, compare
+    false with every cut and leave a trial short of rows; that raises.
     """
-    betas = [init.beta_m, init.beta_M]
-    for _ in range(rounds):
-        delta = -math.inf
-        for p in (0, 1):
-            new = move(p, betas)
-            if new is not betas[p]:
-                step = betas[p] - new
-                # the bits of np.linalg.norm on a vector, without its wrapper
-                delta = max(delta, math.sqrt(step @ step))
-                betas[p] = new
-        if delta <= tol:
-            break
-    return RegressorPair(betas[0].copy(), betas[1].copy())
+    T, n = diffs.shape
+    keep = (values[:, k - 1, None] < diffs) & (diffs < values[:, n - k, None])
+    flat = keep.ravel().nonzero()[0]
+    if flat.size != T * (n - 2 * k):
+        for t in (keep.sum(axis=1) != n - 2 * k).nonzero()[0]:
+            keep[t] = False
+            keep[t, _active_indices(diffs[t], k, values[t])] = True
+        flat = keep.ravel().nonzero()[0]
+        if flat.size != T * (n - 2 * k):
+            raise ValueError("loss differences are NaN; no active set")
+    return flat
 
 
 def aasd(
-    data: Dataset,
+    data: Dataset | Sequence[Dataset],
     k: int,
     cfg: Optional[GdConfig] = None,
-    init: Optional[RegressorPair] = None,
-) -> RegressorPair:
+    init: RegressorPair | Sequence[RegressorPair] | None = None,
+) -> RegressorPair | list:
     """Alternating Armijo sub-gradient descent on the trimmed min-max objective.
 
     Each iteration moves beta_m, then beta_M against the updated beta_m.
     A player's half-step recomputes the active set and takes one grown,
     then backtracked, gradient step on the frozen active-set SSE (see
     _armijo_step); if no step passes the test the iterate stays as it is.
-    Both players' squared residuals are kept, so a half-step recomputes
-    only its own player's, and only when it moves. Stops when the larger
-    iterate movement drops to tol_delta, or after max_iters iterations.
-    beta_m is the regression estimate.
+    An iteration's movement is the larger norm of an iterate's change
+    among the players that moved. The descent stops after an iteration
+    whose movement is at most tol_delta, or where neither player moved, or
+    after max_iters iterations. beta_m is the regression estimate.
+
+    ``data`` is one Dataset, with ``init`` a RegressorPair or None (the
+    zero pair), and the result is a RegressorPair. It may also be a
+    sequence of datasets of one shape, the trials of a batch, with
+    ``init`` None or a sequence of as many pairs; the result is then the
+    list of their pairs. A batch descends together, each trial with its
+    own steps, and a trial that stops leaves it. Each trial ends with the
+    bits of its one-trial call: the products are stacked, and np.matmul
+    calls BLAS once per stack element, with that element's shape and
+    strides, so every trial gets the call that a 2-D by 1-D or a 1-D by 1-D
+    product on its own arrays makes.
     """
     cfg = cfg or GdConfig()
-    X, y = data.X, data.y
-    n, d = X.shape
+    single = isinstance(data, Dataset)
+    if single:
+        data, init = [data], [init]
+    datasets = list(data)
+    inits = [None] * len(datasets) if init is None else list(init)
+    if len(inits) != len(datasets):
+        raise ValueError("need one starting pair per dataset")
+    if not datasets:
+        return []
+    n, d = datasets[0].X.shape
     TrimSpec(k, n)  # raises unless 0 <= k and 2k < n
-    if init is None:
-        init = RegressorPair.zeros(d)
-    S = [_squared_residuals(X, y, init.beta_m), _squared_residuals(X, y, init.beta_M)]
-    steps = [INITIAL_STEP, INITIAL_STEP]
+    if any(ds.X.shape != (n, d) for ds in datasets):
+        raise ValueError("the datasets of a batch must share n and d")
+    inits = [RegressorPair.zeros(d) if p is None else p for p in inits]
+    # Trial t is X[t], y[t] and the columns betas[0][t], betas[1][t].
+    X = np.stack([ds.X for ds in datasets])
+    y = np.stack([ds.y for ds in datasets])[:, :, None]
+    betas = [
+        np.stack([p.beta_m for p in inits])[:, :, None],
+        np.stack([p.beta_M for p in inits])[:, :, None],
+    ]
+    out = [np.empty((len(datasets), d)), np.empty((len(datasets), d))]
+    steps = [[INITIAL_STEP] * len(datasets), [INITIAL_STEP] * len(datasets)]
+    ids = np.arange(len(datasets))
+    m = n - 2 * k
+    if k:
+        # Both players' squared residuals; they only pick the active set,
+        # which with k = 0 is every row.
+        S = [_squared_residuals(X, y, b) for b in betas]
+        X_rows, y_rows = X.reshape(-1, d), y.reshape(-1)
 
-    def move(p, betas):
-        idx = _active_indices(S[0] - S[1], k)
-        XI = X.take(idx, 0)
-        grad = -2.0 * (XI.T @ (y.take(idx) - XI @ betas[p]))
-        Xg = XI @ grad
-        taken, steps[p] = _armijo_step(steps[p], float(grad @ grad), float(Xg @ Xg))
-        if taken == 0.0:
-            return betas[p]
-        new = betas[p] - taken * grad
-        S[p] = _squared_residuals(X, y, new)
-        return new
-
-    return _alternate(move, init, cfg.max_iters, cfg.tol_delta)
+    for _ in range(cfg.max_iters):
+        for p in (0, 1):
+            if k:
+                diffs = (S[0] - S[1]).reshape(-1, n)
+                rows = _kept_rows(diffs, np.sort(diffs, axis=1), k)
+                XI = X_rows.take(rows, 0).reshape(-1, m, d)
+                yI = y_rows.take(rows).reshape(-1, m, 1)
+            else:
+                XI, yI = X, y
+            beta = betas[p]
+            grad = -2.0 * (XI.transpose(0, 2, 1) @ (yI - XI @ beta))
+            Xg = XI @ grad
+            taken, steps[p] = zip(*map(
+                _armijo_step, steps[p], _dots(grad, grad).tolist(),
+                _dots(Xg, Xg).tolist(),
+            ))
+            new = beta - np.array(taken)[:, None, None] * grad
+            step = beta - new
+            movement = np.sqrt(_dots(step, step))
+            if 0.0 in taken:
+                # a line search that ran out leaves its iterate as it is,
+                # and that player adds nothing to the movement
+                stay = np.array(taken) == 0.0
+                new[stay] = beta[stay]
+                movement[stay] = -np.inf
+            delta = movement if p == 0 else np.maximum(delta, movement)
+            betas[p] = new
+            if k:
+                S[p] = _squared_residuals(X, y, new)
+        done = delta <= cfg.tol_delta
+        if done.any():
+            for p in (0, 1):
+                out[p][ids[done]] = betas[p][done, :, 0]
+            go = ~done
+            ids = ids[go]
+            betas = [b[go] for b in betas]
+            if ids.size == 0:
+                break
+            X, y = X[go], y[go]
+            steps = [list(compress(s, go)) for s in steps]
+            if k:
+                S = [s[go] for s in S]
+                X_rows, y_rows = X.reshape(-1, d), y.reshape(-1)
+    for p in (0, 1):
+        out[p][ids] = betas[p][:, :, 0]
+    pairs = [RegressorPair(bm, bM) for bm, bM in zip(*out)]
+    return pairs[0] if single else pairs
 
 
 def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M, tol: float):
@@ -277,7 +350,7 @@ def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M, tol: float):
     a strict move and a tie in plug_in's player move.
 
     One sort of the values serves both: ``trimmed_mean`` gets the sorted
-    differences, which its own stable sort leaves as they are, and
+    differences, which it averages without sorting them again, and
     _active_indices reads its two cuts from them. The zeroing leaves no
     -0.0, so the sorted values have the bits of any sort by (value, index).
     """
@@ -382,7 +455,19 @@ def plug_in(
             point_value, idx = cand_value, cand_idx
         return beta
 
-    return _alternate(move, init, iters, -math.inf)
+    # Each round moves beta_m, then beta_M against the updated beta_m; a
+    # move returns betas[p] itself when the player stays.
+    betas = [init.beta_m, init.beta_M]
+    for _ in range(iters):
+        fixed = True
+        for p in (0, 1):
+            new = move(p, betas)
+            if new is not betas[p]:
+                betas[p] = new
+                fixed = False
+        if fixed:
+            break
+    return RegressorPair(betas[0].copy(), betas[1].copy())
 
 
 def _bucket_layout(n: int, num_blocks: int):

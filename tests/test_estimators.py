@@ -40,6 +40,12 @@ class TestTrimmedMean:
             trimmed_mean([1.0, np.nan, 2.0], TrimSpec(k=0, n=3))
         with pytest.raises(ValueError):
             trimmed_mean([1.0, np.inf, 2.0], TrimSpec(k=1, n=3))
+        # samples already in ascending order, which are not sorted again
+        for values in (
+            [1.0, 2.0, np.inf], [-np.inf, 1.0, 2.0], [1.0, 2.0, np.nan], [np.nan]
+        ):
+            with pytest.raises(ValueError):
+                trimmed_mean(values, TrimSpec(k=0, n=len(values)))
 
     def test_within_sample_range(self):
         rng = np.random.default_rng(11)
@@ -59,6 +65,7 @@ class TestTrimmedMean:
             spec = TrimSpec(k, n)
             perm = rng.permutation(n)
             assert trimmed_mean(x, spec) == trimmed_mean(x[perm], spec)
+            assert trimmed_mean(x, spec) == trimmed_mean(np.sort(x), spec)
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(5)

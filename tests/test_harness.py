@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -479,3 +480,64 @@ def test_run_trial_wall_time_positive():
     cfg = _small_config(trials=1)
     recs = run_trial(cfg, 0.0, 0)
     assert all(r.wall_time > 0 for r in recs)
+
+
+class TestChunks:
+    """run_experiment runs each eps's trials in chunks; TM-AASD descends a
+    chunk as one batch."""
+
+    @staticmethod
+    def _aasd_config(**kw):
+        return _small_config(
+            eps_grid=(0.1,), methods=("TM-AASD", "OLS"),
+            gd=GdConfig(max_iters=30), **kw,
+        )
+
+    def test_one_aasd_call_per_chunk(self, monkeypatch):
+        calls = []
+        real = harness.aasd
+
+        def counting(data, *args):
+            calls.append(len(data))
+            return real(data, *args)
+
+        monkeypatch.setattr(harness, "aasd", counting)
+        cfg = self._aasd_config(trials=harness.CHUNK_TRIALS + 3)
+        recs = run_experiment(cfg)
+        assert calls == [harness.CHUNK_TRIALS, 3]
+        assert sorted(r.trial for r in recs if r.method == "TM-AASD") == list(
+            range(cfg.trials)
+        )
+
+    def test_records_do_not_depend_on_chunking(self, monkeypatch):
+        cfg = self._aasd_config(trials=7)
+        whole = run_experiment(cfg)
+        monkeypatch.setattr(harness, "CHUNK_TRIALS", 3)
+        assert run_experiment(cfg) == whole
+        assert run_experiment(cfg, workers=2) == whole
+
+    def test_failed_aasd_fit_marks_only_its_trial(self, monkeypatch):
+        cfg = self._aasd_config(trials=4)
+        assert cfg.trials <= harness.CHUNK_TRIALS  # one chunk
+        clean = {(r.method, r.trial): r.loss for r in run_experiment(cfg)}
+        make = harness._make_trial_data
+        bad_seed = trial_seed(
+            cfg.base_seed, "A", cfg.n, cfg.d, cfg.rho, 0.1, "normal", 2
+        )
+
+        def overflowing(config, eps, seed):
+            # residuals of order 1e200 overflow when squared, so the
+            # descent's loss differences are NaN and its fit raises
+            data = make(config, eps, seed)
+            if seed == bad_seed:
+                data = replace(data, y=1e200 + data.y)
+            return data
+
+        monkeypatch.setattr(harness, "_make_trial_data", overflowing)
+        with np.errstate(over="ignore", invalid="ignore"):
+            recs = run_experiment(cfg)
+        aasd_losses = {r.trial: r.loss for r in recs if r.method == "TM-AASD"}
+        assert math.isinf(aasd_losses.pop(2))
+        assert aasd_losses == {t: clean[("TM-AASD", t)] for t in (0, 1, 3)}
+        others = {(r.method, r.trial): r.loss for r in recs if r.trial != 2}
+        assert others == {key: loss for key, loss in clean.items() if key[1] != 2}

@@ -863,6 +863,77 @@ class TestOneEvaluationPerPair:
         assert np.array_equal(got.beta_M, want_M)
 
 
+class TestBatchedAasd:
+    """aasd over a list of datasets gives each trial the bits of its
+    one-trial call, whichever trials share the batch and whenever each
+    stops."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+        masked=st.lists(st.booleans(), min_size=6, max_size=6),
+        n=st.integers(12, 80),
+        d=st.integers(1, 4),
+        k_frac=st.sampled_from([0.0, 0.0, 0.3, 1.0]),
+        cap=st.integers(1, 60),
+        tol_delta=st.sampled_from([1e-4, 1e-2, 1e-1, 1.0]),
+    )
+    def test_batch_has_the_bits_of_one_trial_calls(
+        self, seeds, masked, n, d, k_frac, cap, tol_delta
+    ):
+        problems = [
+            (_masked_problem if tie_heavy else _heavy_tailed_problem)(seed, n, d)
+            for seed, tie_heavy in zip(seeds, masked)
+        ]
+        k = int(k_frac * ((n - 1) // 2))
+        cfg = GdConfig(tol_delta=tol_delta, max_iters=cap)
+        batch = aasd([p[0] for p in problems], k, cfg, [p[1] for p in problems])
+        assert len(batch) == len(problems)
+        for (data, init), got in zip(problems, batch):
+            alone = aasd(data, k, cfg, init)
+            assert np.array_equal(got.beta_m, alone.beta_m)
+            assert np.array_equal(got.beta_M, alone.beta_M)
+
+    def test_trials_that_stop_leave_the_batch(self):
+        # The X = y = 1 pair cycles until the cap; the linear fit stops on
+        # the tolerance well before it, in the middle of the batch.
+        cycle = (Dataset(X=np.ones((4, 1)), y=np.ones(4)), RegressorPair([0.0], [3.0]))
+        x = np.arange(1.0, 5.0)[:, None]
+        line = (Dataset(X=x, y=2.0 * x[:, 0]), RegressorPair([0.0], [0.5]))
+        cfg = GdConfig(max_iters=1000)
+        stopped = aasd(line[0], 0, GdConfig(max_iters=999), line[1])
+        assert np.array_equal(stopped.beta_m, aasd(line[0], 0, cfg, line[1]).beta_m)
+        problems = [cycle, line, cycle]
+        batch = aasd([p[0] for p in problems], 0, cfg, [p[1] for p in problems])
+        for (data, init), got in zip(problems, batch):
+            alone = aasd(data, 0, cfg, init)
+            assert np.array_equal(got.beta_m, alone.beta_m)
+            assert np.array_equal(got.beta_M, alone.beta_M)
+
+    def test_batch_arguments(self):
+        data, init = _heavy_tailed_problem(0, 20, 2)
+        other, _ = _heavy_tailed_problem(1, 21, 2)
+        assert aasd([], 3) == []
+        with pytest.raises(ValueError, match="share n and d"):
+            aasd([data, other], 3)
+        with pytest.raises(ValueError, match="one starting pair"):
+            aasd([data, data], 3, init=[init])
+        # no init is the zero pair, as for a one-trial call
+        zero = aasd(data, 3, GdConfig(max_iters=5))
+        (got,) = aasd([data], 3, GdConfig(max_iters=5))
+        assert np.array_equal(got.beta_m, zero.beta_m)
+
+    def test_nan_loss_differences_raise(self):
+        # residuals that overflow leave inf - inf loss differences
+        data, init = _heavy_tailed_problem(0, 20, 2)
+        huge = Dataset(X=data.X, y=1e200 * np.ones(20))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="NaN"):
+                aasd(huge, 3, GdConfig(max_iters=5), init)
+            with pytest.raises(ValueError, match="NaN"):
+                aasd([data, huge], 3, GdConfig(max_iters=5), [init, init])
+
+
 class TestMomRegression:
     def test_single_bucket_matches_full_descent(self):
         data = _clean_data(80, 4, seed=9)
