@@ -96,9 +96,10 @@ class ExperimentConfig:
     """One fully seeded experimental grid.
 
     ``rho`` applies to Setup A, ``p`` to Setup B. The trimming rule is
-    k = floor(eps*n) + trim_extra; the true coefficient vector is all ones.
-    Best-MoM's oracle access to the true coefficients makes it an
-    infeasible baseline, recorded as such in emitted metadata.
+    k = floor(eps*n) + trim_extra, with trim_extra >= 0; the true
+    coefficient vector is all ones. Best-MoM's oracle access to the true
+    coefficients makes it an infeasible baseline, recorded as such in
+    emitted metadata.
 
     ``init_rule`` picks the iterate pair every descent method starts from:
     "random" draws a seeded standard-normal pair per trial, "zeros" uses
@@ -149,6 +150,8 @@ class ExperimentConfig:
             raise ValueError("trials must be a positive integer")
         if self.plugin_iters < 1:
             raise ValueError(f"plugin_iters must be >= 1, got {self.plugin_iters}")
+        if self.trim_extra < 0:
+            raise ValueError(f"trim_extra must be >= 0, got {self.trim_extra}")
         if self.mom_blocks is not None and not 1 <= self.mom_blocks <= self.n:
             raise ValueError(f"mom_blocks must lie in [1, n], got {self.mom_blocks}")
         if not self.eps_grid:

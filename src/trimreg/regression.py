@@ -5,17 +5,18 @@ approached by two heuristics: alternating Armijo sub-gradient steps over the
 current active set, and alternating exact least-squares refits ("plug-in"),
 each kept only if it moves the objective in its player's favour, or leaves
 it equal with a smaller norm. Both move beta_m, then beta_M, round after
-round. The descent runs as one kernel over a batch of trials of one shape,
-with stacked products that give each trial the bits of its one-trial run;
-a trial leaves the batch when its movement drops to a tolerance. The refits
-stop at a fixed point or at a round cap. The median-of-means variant
-replaces the active set by the bucket whose mean loss difference achieves
-the median. Best-MoM sweeps bucket counts using oracle access to the true
-coefficients; it exists purely as an infeasible benchmark baseline. Its
-candidate bucket counts descend together, as one batch of iterate rows,
-and plain MoM is the one-candidate batch. Every descent takes the
-closed-form Armijo step: on a frozen active set the SSE is quadratic along
-the gradient, so the step test needs no SSE evaluation.
+round, and both pick active sets with _select_active. The descent runs as
+one kernel over a batch of trials of one shape, with stacked products that
+give each trial the bits of its one-trial run; a trial leaves the batch when
+its movement drops to a tolerance. The refits stop at a fixed point or at a
+round cap. The median-of-means variant replaces the active set by the bucket
+whose mean loss difference achieves the median. Best-MoM sweeps bucket
+counts using oracle access to the true coefficients; it exists purely as an
+infeasible benchmark baseline. Its candidate bucket counts descend together,
+as one batch of iterate rows, and plain MoM is the one-candidate batch.
+Every descent takes the closed-form Armijo step: on a frozen active set the
+SSE is quadratic along the gradient, so the step test needs no SSE
+evaluation.
 """
 
 from __future__ import annotations
@@ -144,41 +145,49 @@ def _loss_diffs(X, y, beta_m, beta_M) -> np.ndarray:
     return _squared_residuals(X, y, beta_m) - _squared_residuals(X, y, beta_M)
 
 
-def _active_indices(diffs: np.ndarray, k: int, values=None) -> np.ndarray:
-    """Indices surviving removal of the k largest and k smallest loss diffs.
+def _select_active(diffs: np.ndarray, k: int):
+    """Sorted values and active sets of a T-by-n stack of loss differences.
 
-    Rows rank by (value, original index), and the sorted indices of ranks
-    k to n-k-1 are returned; ``values``, if given, is ``np.sort(diffs)``.
-    The rank-(k-1) value lo and the rank-(n-k) value hi bound the rows
-    kept outright, lo < diff < hi. The rows equal to a bound that sorts on
-    both sides of its cut take their ranks in index order from the
-    bound's first position in ``values``, so the full permutation is never
-    needed.
+    Returns ``np.sort(diffs, axis=1)`` and the flat indices into its T*n
+    cells of every row's active set, in increasing order: the cells of
+    ranks k to n-k-1 by (value, column index); with k = 0, every cell. A
+    row's rank-(k-1) value lo and rank-(n-k) value hi bound the cells kept
+    outright, lo < diff < hi, which number n - 2k unless a tie straddles a
+    cut. Only then are the rows checked: the cells equal to a bound that
+    sorts on both sides of its cut take their ranks in index order from the
+    bound's first position in the sorted row. NaN differences, which
+    overflowing residuals leave, fail every cut; a row left short raises.
     """
-    n = diffs.shape[0]
+    T, n = diffs.shape
+    values = np.sort(diffs, axis=1)
     if k == 0:
-        return np.arange(n)
-    if values is None:
-        values = np.sort(diffs)
-    lo, hi = values[k - 1], values[n - k]
-    keep = (lo < diffs) & (diffs < hi)
-    straddling = []
-    if values[k] == lo:
-        straddling.append(lo)
-    if values[n - k - 1] == hi and hi != lo:
-        straddling.append(hi)
-    for v in straddling:
-        # rows[j] has rank first + j; keep the ranks in [k, n - k)
-        rows = (diffs == v).nonzero()[0]
-        first = int(np.searchsorted(values, v))
-        keep[rows[max(k - first, 0) : n - k - first]] = True
-    return keep.nonzero()[0]
+        return values, np.arange(T * n)
+    keep = (values[:, k - 1, None] < diffs) & (diffs < values[:, n - k, None])
+    if np.count_nonzero(keep) != T * (n - 2 * k):
+        for t in range(T):
+            row, ranked = diffs[t], values[t]
+            lo, hi = ranked.item(k - 1), ranked.item(n - k)
+            straddling = []
+            if ranked.item(k) == lo:
+                straddling.append(lo)
+            if ranked.item(n - k - 1) == hi and hi != lo:
+                straddling.append(hi)
+            for v in straddling:
+                # cells[j] has rank first + j; keep the ranks in [k, n - k)
+                cells = (row == v).nonzero()[0]
+                first = int(ranked.searchsorted(v))
+                keep[t, cells[max(k - first, 0) : n - k - first]] = True
+    flat = keep.ravel().nonzero()[0]
+    if flat.size != T * (n - 2 * k):
+        raise ValueError("loss differences are NaN; no active set")
+    return values, flat
 
 
 def active_set(pair: RegressorPair, data: Dataset, k: int) -> np.ndarray:
     """Sorted indices over which the trimmed loss difference is a plain mean."""
     TrimSpec(k, data.n)  # raises unless 0 <= k and 2k < n
-    return _active_indices(_loss_diffs(data.X, data.y, pair.beta_m, pair.beta_M), k)
+    diffs = _loss_diffs(data.X, data.y, pair.beta_m, pair.beta_M)
+    return _select_active(diffs[None], k)[1]
 
 
 def _armijo_step(step: float, g2: float, xg2: float):
@@ -206,30 +215,6 @@ def _dots(u, v) -> np.ndarray:
     return np.matmul(u.transpose(0, 2, 1), v).ravel()
 
 
-def _kept_rows(diffs, values, k: int) -> np.ndarray:
-    """Flat indices of every trial's active set in a stack of T*n rows.
-
-    ``diffs`` is T-by-n, ``values`` is ``np.sort(diffs, axis=1)`` and
-    0 < k. The rows strictly between a trial's rank-(k-1) and rank-(n-k)
-    values are its active set whenever they number n - 2k; fewer means a
-    tie straddles a cut, and that trial takes _active_indices instead.
-    Each trial's indices come out in increasing order, as _active_indices
-    gives them. NaN differences, as overflowing residuals leave, compare
-    false with every cut and leave a trial short of rows; that raises.
-    """
-    T, n = diffs.shape
-    keep = (values[:, k - 1, None] < diffs) & (diffs < values[:, n - k, None])
-    flat = keep.ravel().nonzero()[0]
-    if flat.size != T * (n - 2 * k):
-        for t in (keep.sum(axis=1) != n - 2 * k).nonzero()[0]:
-            keep[t] = False
-            keep[t, _active_indices(diffs[t], k, values[t])] = True
-        flat = keep.ravel().nonzero()[0]
-        if flat.size != T * (n - 2 * k):
-            raise ValueError("loss differences are NaN; no active set")
-    return flat
-
-
 def aasd(
     data: Dataset | Sequence[Dataset],
     k: int,
@@ -239,13 +224,14 @@ def aasd(
     """Alternating Armijo sub-gradient descent on the trimmed min-max objective.
 
     Each iteration moves beta_m, then beta_M against the updated beta_m.
-    A player's half-step recomputes the active set and takes one grown,
-    then backtracked, gradient step on the frozen active-set SSE (see
-    _armijo_step); if no step passes the test the iterate stays as it is.
-    An iteration's movement is the larger norm of an iterate's change
-    among the players that moved. The descent stops after an iteration
-    whose movement is at most tol_delta, or where neither player moved, or
-    after max_iters iterations. beta_m is the regression estimate.
+    A player's half-step recomputes the active set (every row when k = 0)
+    and takes one grown, then backtracked, gradient step on the frozen
+    active-set SSE (see _armijo_step); if no step passes the test the
+    iterate stays as it is, and that player's movement is 0. An
+    iteration's movement is the larger of its players'. The descent stops
+    after an iteration whose movement is at most tol_delta, as one where
+    neither player moved is, or after max_iters iterations. beta_m is the
+    regression estimate.
 
     ``data`` is one Dataset, with ``init`` a RegressorPair or None (the
     zero pair), and the result is a RegressorPair. It may also be a
@@ -284,21 +270,15 @@ def aasd(
     steps = [[INITIAL_STEP] * len(datasets), [INITIAL_STEP] * len(datasets)]
     ids = np.arange(len(datasets))
     m = n - 2 * k
-    if k:
-        # Both players' squared residuals; they only pick the active set,
-        # which with k = 0 is every row.
-        S = [_squared_residuals(X, y, b) for b in betas]
-        X_rows, y_rows = X.reshape(-1, d), y.reshape(-1)
+    # Both players' squared residuals; they only pick the active set.
+    S = [_squared_residuals(X, y, b) for b in betas]
+    X_rows, y_rows = X.reshape(-1, d), y.reshape(-1)
 
     for _ in range(cfg.max_iters):
         for p in (0, 1):
-            if k:
-                diffs = (S[0] - S[1]).reshape(-1, n)
-                rows = _kept_rows(diffs, np.sort(diffs, axis=1), k)
-                XI = X_rows.take(rows, 0).reshape(-1, m, d)
-                yI = y_rows.take(rows).reshape(-1, m, 1)
-            else:
-                XI, yI = X, y
+            _, rows = _select_active((S[0] - S[1]).reshape(-1, n), k)
+            XI = X_rows.take(rows, 0).reshape(-1, m, d)
+            yI = y_rows.take(rows).reshape(-1, m, 1)
             beta = betas[p]
             grad = -2.0 * (XI.transpose(0, 2, 1) @ (yI - XI @ beta))
             Xg = XI @ grad
@@ -306,19 +286,14 @@ def aasd(
                 _armijo_step, steps[p], _dots(grad, grad).tolist(),
                 _dots(Xg, Xg).tolist(),
             ))
-            new = beta - np.array(taken)[:, None, None] * grad
+            # a line search that ran out leaves its iterate as it is
+            taken = np.array(taken)[:, None, None]
+            new = np.where(taken > 0.0, beta - taken * grad, beta)
             step = beta - new
             movement = np.sqrt(_dots(step, step))
-            if 0.0 in taken:
-                # a line search that ran out leaves its iterate as it is,
-                # and that player adds nothing to the movement
-                stay = np.array(taken) == 0.0
-                new[stay] = beta[stay]
-                movement[stay] = -np.inf
             delta = movement if p == 0 else np.maximum(delta, movement)
             betas[p] = new
-            if k:
-                S[p] = _squared_residuals(X, y, new)
+            S[p] = _squared_residuals(X, y, new)
         done = delta <= cfg.tol_delta
         if done.any():
             for p in (0, 1):
@@ -330,9 +305,8 @@ def aasd(
                 break
             X, y = X[go], y[go]
             steps = [list(compress(s, go)) for s in steps]
-            if k:
-                S = [s[go] for s in S]
-                X_rows, y_rows = X.reshape(-1, d), y.reshape(-1)
+            S = [s[go] for s in S]
+            X_rows, y_rows = X.reshape(-1, d), y.reshape(-1)
     for p in (0, 1):
         out[p][ids] = betas[p][:, :, 0]
     pairs = [RegressorPair(bm, bM) for bm, bM in zip(*out)]
@@ -349,15 +323,16 @@ def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M, tol: float):
     exact zeros of the all-zero rows of a masked design, and decide between
     a strict move and a tie in plug_in's player move.
 
-    One sort of the values serves both: ``trimmed_mean`` gets the sorted
-    differences, which it averages without sorting them again, and
-    _active_indices reads its two cuts from them. The zeroing leaves no
-    -0.0, so the sorted values have the bits of any sort by (value, index).
+    One sort of the values serves both: _select_active sorts the vector as
+    a one-row stack and reads its two cuts from it, and ``trimmed_mean``
+    gets the sorted row, which it averages without sorting it again. The
+    zeroing leaves no -0.0, so the sorted values have the bits of any sort
+    by (value, index).
     """
     diffs = _loss_diffs(X, y, beta_m, beta_M)
     diffs[np.abs(diffs) <= tol] = 0.0
-    values = np.sort(diffs)
-    return trimmed_mean(values, spec), _active_indices(diffs, spec.k, values)
+    values, idx = _select_active(diffs[None], spec.k)
+    return trimmed_mean(values[0], spec), idx
 
 
 def plug_in(

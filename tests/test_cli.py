@@ -219,6 +219,7 @@ def test_bad_bounds_setting_exits_2_with_no_output(tmp_path, capsys, flags, mess
         (["--mom-blocks", "31"], "mom_blocks"),  # n = 30
         (["--workers", "0"], "--workers"),
         (["--methods", ","], "methods"),
+        (["--trim-extra", "-1"], "trim_extra"),
     ],
 )
 def test_bad_run_setting_exits_2_with_no_output(tmp_path, capsys, flags, message):

@@ -63,6 +63,11 @@ class TestConfig:
             _small_config(init_rule="warm")
         with pytest.raises(ValueError, match="plugin_iters"):
             _small_config(plugin_iters=0)
+        # a negative extra once ran with k = -1 and wrote every trimmed
+        # loss as inf
+        with pytest.raises(ValueError, match="trim_extra"):
+            _small_config(trim_extra=-1)
+        assert _small_config(trim_extra=0).trim_extra == 0
         for blocks in (0, 41):  # n = 40
             with pytest.raises(ValueError, match="mom_blocks"):
                 _small_config(mom_blocks=blocks)

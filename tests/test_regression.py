@@ -19,7 +19,6 @@ from trimreg.regression import (
     ZERO_DIFF_RTOL,
     GdConfig,
     RegressorPair,
-    _active_indices,
     _armijo_step,
     _bucket_layout,
     _evaluate,
@@ -27,6 +26,7 @@ from trimreg.regression import (
     _median_buckets,
     _mom_descent,
     _mom_layout,
+    _select_active,
     aasd,
     active_set,
     best_mom,
@@ -231,81 +231,114 @@ class TestActiveSet:
         ranked = sorted(range(n), key=lambda i: (diffs[i], i))
         assert active_set(pair, data, k).tolist() == sorted(ranked[k : n - k])
 
+    def test_overflowing_residuals_raise(self):
+        # squared residuals that overflow leave inf - inf loss differences,
+        # which rank nowhere
+        data = Dataset(X=np.ones((6, 1)), y=np.full(6, 1e200))
+        pair = RegressorPair(np.array([0.0]), np.array([1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="NaN"):
+                active_set(pair, data, 1)
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 400),
-        k_frac=st.floats(0.0, 1.0),
+        k_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
         levels=st.integers(0, 4),
-        straddle=st.sampled_from(["none", "lo", "hi", "both", "lo == hi"]),
+        straddles=st.lists(
+            st.sampled_from(["none", "lo", "hi", "both", "lo == hi"]),
+            min_size=1,
+            max_size=5,
+        ),
         below=st.integers(1, 12),
         above=st.integers(1, 12),
     )
     def test_selection_matches_python_rank_of_value_index_pairs(
-        self, seed, n, k_frac, levels, straddle, below, above
+        self, seed, n, k_frac, levels, straddles, below, above
     ):
-        # integer values tie often; a run of one value is laid across the
-        # lower cut (between ranks k-1 and k), the upper cut (between ranks
-        # n-k-1 and n-k), both, or from one cut to the other; zeros come as
-        # 0.0 and -0.0 mixed
+        # a stack of rows, one per straddle kind: integer values tie often;
+        # a run of one value is laid across the lower cut (between ranks
+        # k-1 and k), the upper cut (between ranks n-k-1 and n-k), both, or
+        # from one cut to the other; zeros come as 0.0 and -0.0 mixed
         rng = np.random.default_rng(seed)
         k = int(k_frac * ((n - 1) // 2))
-        ranked = np.sort(rng.integers(-levels, levels + 1, size=n).astype(float))
-        runs = {
-            "none": [],
-            "lo": [(k - below, k + above)],
-            "hi": [(n - k - below, n - k + above)],
-            "both": [(k - below, k + above), (n - k - below, n - k + above)],
-            "lo == hi": [(k - below, n - k + above)],
-        }[straddle]
-        for start, stop in runs:
-            start, stop = max(start, 0), min(stop, n)
-            # a block of a sorted vector set to one of its own values stays sorted
-            ranked[start:stop] = ranked[rng.integers(start, stop)]
-        diffs = rng.permutation(ranked)
-        zeros = np.flatnonzero(diffs == 0.0)
-        diffs[zeros] = rng.choice([0.0, -0.0], size=zeros.size)
+        stack = []
+        for straddle in straddles:
+            ranked = np.sort(rng.integers(-levels, levels + 1, size=n).astype(float))
+            runs = {
+                "none": [],
+                "lo": [(k - below, k + above)],
+                "hi": [(n - k - below, n - k + above)],
+                "both": [(k - below, k + above), (n - k - below, n - k + above)],
+                "lo == hi": [(k - below, n - k + above)],
+            }[straddle]
+            for start, stop in runs:
+                start, stop = max(start, 0), min(stop, n)
+                # a block of a sorted vector set to one of its own values
+                # stays sorted
+                ranked[start:stop] = ranked[rng.integers(start, stop)]
+            row = rng.permutation(ranked)
+            zeros = np.flatnonzero(row == 0.0)
+            row[zeros] = rng.choice([0.0, -0.0], size=zeros.size)
+            stack.append(row)
+        diffs = np.array(stack)
 
-        values = diffs.tolist()
-        order = sorted(range(n), key=lambda i: (values[i], i))
-        want = sorted(order[k : n - k])
-        got = _active_indices(diffs, k)
-        assert got.tolist() == want
+        values, got = _select_active(diffs, k)
+        m = n - 2 * k
         assert got.dtype == np.intp
-        presorted = _active_indices(diffs, k, np.sort(diffs))
-        assert np.array_equal(presorted, got)
-        assert presorted.dtype == got.dtype
+        assert got.shape == (len(stack) * m,)
+        for t, row in enumerate(diffs):
+            order = sorted(range(n), key=lambda i: (row[i], i))
+            want = sorted(order[k : n - k])
+            assert (got[t * m : (t + 1) * m] - t * n).tolist() == want
+            assert np.array_equal(values[t], np.sort(row))
 
     def test_fits_keep_the_bits_of_a_stable_argsort_selection(self):
-        # reference selection: the middle of a stable argsort, which ranks
-        # by (value, index); it ignores the sorted values _evaluate passes
-        def argsort_selection(diffs, k, values=None):
-            order = np.argsort(diffs, kind="stable")
-            return np.sort(order[k : diffs.shape[0] - k])
+        # reference selection: the middle of a stable argsort of each row,
+        # which ranks by (value, index)
+        def argsort_selection(diffs, k):
+            T, n = diffs.shape
+            order = np.argsort(diffs, axis=1, kind="stable")
+            rows = np.sort(order[:, k : n - k], axis=1) + n * np.arange(T)[:, None]
+            return np.sort(diffs, axis=1), rows.ravel()
+
+        def fits(fit, k, problems):
+            pairs = [fit(data, k, init=init) for data, init in problems]
+            if fit is aasd:
+                # the batched descent, and the descent at k = 0, select too
+                datasets, inits = map(list, zip(*problems))
+                pairs += aasd(datasets, k, init=inits)
+                pairs += aasd(datasets, 0, GdConfig(max_iters=50), inits)
+            return pairs
 
         t1, t2 = ErrorDist.student_t(1), ErrorDist.student_t(2)
         cells = [
             (aasd, ExperimentConfig(setup="A", n=120, error_dist=t2), 0.2),
             (aasd, ExperimentConfig(setup="A", n=360, error_dist=t1), 0.05),
+            (aasd, ExperimentConfig(setup="B", n=200, p=0.3), 0.1),
             (plug_in, ExperimentConfig(setup="B", n=1000, p=0.3), 0.0),
             (plug_in, ExperimentConfig(setup="B", n=1000, p=0.3), 0.2),
             (plug_in, ExperimentConfig(setup="A", n=120, error_dist=t1), 0.1),
         ]
         for fit, config, eps in cells:
             k = trim_count(eps, config.n)
+            problems = []
             for trial in range(2):
                 seed = trial_seed(
                     0, config.setup, config.n, config.d, config.rho_or_p, eps,
                     config.error_dist.label, trial,
                 )
-                data = _make_trial_data(config, eps, seed)
-                init = _initial_pair(config, seed)
-                got = fit(data, k, init=init)
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(regression, "_active_indices", argsort_selection)
-                    want = fit(data, k, init=init)
-                assert np.array_equal(got.beta_m, want.beta_m)
-                assert np.array_equal(got.beta_M, want.beta_M)
+                problems.append(
+                    (_make_trial_data(config, eps, seed), _initial_pair(config, seed))
+                )
+            got = fits(fit, k, problems)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(regression, "_select_active", argsort_selection)
+                want = fits(fit, k, problems)
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g.beta_m, w.beta_m)
+                assert np.array_equal(g.beta_M, w.beta_M)
 
 
 def _bits(value: float) -> bytes:
@@ -319,8 +352,14 @@ class TestOneSortEvaluation:
 
     @staticmethod
     def _two_sorts(diffs, k, tol):
+        # the active set is the middle of a stable argsort, which ranks by
+        # (value, index)
         diffs = np.where(np.abs(diffs) <= tol, 0.0, diffs)
-        return trimmed_mean(diffs, TrimSpec(k, diffs.size)), _active_indices(diffs, k)
+        order = np.argsort(diffs, kind="stable")
+        return (
+            trimmed_mean(diffs, TrimSpec(k, diffs.size)),
+            np.sort(order[k : diffs.size - k]),
+        )
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
