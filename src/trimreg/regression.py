@@ -14,9 +14,12 @@ whose mean loss difference achieves the median. Best-MoM sweeps bucket
 counts using oracle access to the true coefficients; it exists purely as an
 infeasible benchmark baseline. Its candidate bucket counts descend together,
 as one batch of iterate rows, and plain MoM is the one-candidate batch.
-Every descent takes the closed-form Armijo step: on a frozen active set the
-SSE is quadratic along the gradient, so the step test needs no SSE
-evaluation.
+A bucket's rows are fixed once the sample is shuffled, so the MoM descent
+computes every bucket's X^T X and X^T y once per shuffle and reads each
+half-step's gradient and curvature from them; its one n-length product per
+half-step refreshes the residuals that the bucket means need. Every
+descent takes the closed-form Armijo step: on a frozen active set the SSE
+is quadratic along the gradient, so the step test needs no SSE evaluation.
 """
 
 from __future__ import annotations
@@ -458,10 +461,9 @@ def _bucket_layout(n: int, num_blocks: int):
 def _mom_layout(n: int, Ks):
     """Buckets of every candidate in ``Ks``, laid out over a flattened C-by-n matrix.
 
-    Returns (starts, sizes, owner, median, bucket): the offset c*n + start
-    and the size of each bucket, the candidate c owning it, for each
-    candidate the position of its median bucket in an owner-major sort of
-    all buckets, and the C-by-n map from each cell to its bucket.
+    Returns (starts, sizes, owner, median): the offset c*n + start and the
+    size of each bucket, the candidate c owning it, and for each candidate
+    the position of its median bucket in an owner-major sort of all buckets.
     """
     layouts = [_bucket_layout(n, K) for K in Ks]
     starts = np.concatenate([c * n + st for c, (st, _) in enumerate(layouts)])
@@ -470,8 +472,49 @@ def _mom_layout(n: int, Ks):
     # the smallest integer type: lexsort on it is several times faster
     owner = np.repeat(np.arange(Ks.size, dtype=np.min_scalar_type(Ks.size)), Ks)
     median = np.cumsum(Ks) - Ks + (Ks - 1) // 2
-    bucket = np.repeat(np.arange(sizes.size), sizes).reshape(Ks.size, n)
-    return starts, sizes, owner, median, bucket
+    return starts, sizes, owner, median
+
+
+def _bucket_grams(X, y, Ks):
+    """X_b^T X_b and X_b^T y_b of every bucket b of every candidate in ``Ks``.
+
+    Returns a (sum Ks)-by-d-by-d and a (sum Ks)-by-d-by-1 table, row j for
+    bucket j of the layouts of _mom_layout. A balanced layout is two runs
+    of equal-size buckets (see _bucket_layout); each run is one stacked
+    product on a view of its rows, written into the table in place. Each
+    bucket thus gets the BLAS call that its own rows would, whichever other
+    candidates share the table.
+    """
+    n, d = X.shape
+    XtX = np.empty((np.sum(Ks), d, d))
+    Xty = np.empty((XtX.shape[0], d, 1))
+    j = 0
+    for K in Ks:
+        base, extra = divmod(n, K)
+        row = 0
+        for size, count in ((base + 1, extra), (base, K - extra)):
+            if count:
+                Xr = X[row : row + size * count].reshape(count, size, d)
+                yr = y[row : row + size * count].reshape(count, size, 1)
+                XrT = Xr.transpose(0, 2, 1)
+                np.matmul(XrT, Xr, out=XtX[j : j + count])
+                np.matmul(XrT, yr, out=Xty[j : j + count])
+                j += count
+                row += size * count
+    return XtX, Xty
+
+
+def _bucket_gradients(XtX, Xty, B):
+    """Gradient and curvature of each row's bucket SSE at its iterate.
+
+    Row c of ``B`` is an iterate beta, and XtX[c], Xty[c] its bucket's
+    table entries. Returns G = 2 (X_b^T X_b beta - X_b^T y_b), the gradient
+    of ||X_b beta - y_b||^2, as a C-by-d matrix, with ||G||^2 and
+    ||X_b G||^2 = G^T X_b^T X_b G as lists: the inputs of _armijo_step.
+    Every product is stacked, one BLAS call per row.
+    """
+    G = 2.0 * (XtX @ B[:, :, None] - Xty)
+    return G[:, :, 0], _dots(G, G).tolist(), _dots(G, XtX @ G).tolist()
 
 
 def _median_buckets(diffs, starts, sizes, owner, median) -> np.ndarray:
@@ -512,6 +555,14 @@ def _mom_descent(
     stopped candidate's iterates are final and it leaves the batch. Every
     row is computed apart from the others, so it does not depend on which
     other candidates share the batch.
+
+    A bucket's rows stay fixed for the whole descent, so X_b^T X_b and
+    X_b^T y_b of every bucket are computed once, after the shuffle (see
+    _bucket_grams); ``slots`` maps the buckets of the candidates still in
+    the batch to their table rows. A half-step reads its gradient and
+    curvature from its median bucket's entries, and its one n-length
+    product refreshes the residuals of every row, which the next bucket
+    means need.
     """
     n = data.n
     for K in Ks:
@@ -533,15 +584,12 @@ def _mom_descent(
     eta = np.full(Ks.size, INITIAL_STEP)
     xi = np.full(Ks.size, INITIAL_STEP)
     layout = _mom_layout(n, Ks)
+    XtX, Xty = _bucket_grams(Xs, ys, Ks)
+    slots = np.arange(XtX.shape[0])
 
-    def half_step(B, R, step, diffs, layout):
-        starts, sizes, owner, median, bucket = layout
-        b = _median_buckets(diffs, starts, sizes, owner, median)
-        rows = bucket == b[:, None]
-        G = 2.0 * _rowwise(np.where(rows, R, 0.0), Xs)
-        XG = np.where(rows, _rowwise(G, XsT), 0.0)
-        g2 = np.einsum("ij,ij->i", G, G).tolist()
-        xg2 = np.einsum("ij,ij->i", XG, XG).tolist()
+    def half_step(B, step, diffs, layout, slots):
+        b = slots[_median_buckets(diffs, *layout)]
+        G, g2, xg2 = _bucket_gradients(XtX[b], Xty[b], B)
         taken, carried = np.array(
             [_armijo_step(*args) for args in zip(step.tolist(), g2, xg2)]
         ).T
@@ -549,8 +597,8 @@ def _mom_descent(
         return new, _rowwise(new, XsT) - ys, carried
 
     for _ in range(cfg.max_iters):
-        new_m, Rm, eta = half_step(Bm, Rm, eta, Rm * Rm - RM * RM, layout)
-        new_M, RM, xi = half_step(BM, RM, xi, Rm * Rm - RM * RM, layout)
+        new_m, Rm, eta = half_step(Bm, eta, Rm * Rm - RM * RM, layout, slots)
+        new_M, RM, xi = half_step(BM, xi, Rm * Rm - RM * RM, layout, slots)
         delta = np.maximum(
             np.linalg.norm(Bm - new_m, axis=1), np.linalg.norm(BM - new_M, axis=1)
         )
@@ -560,6 +608,7 @@ def _mom_descent(
             out_m[ids[done]] = Bm[done]
             out_M[ids[done]] = BM[done]
             go = ~done
+            slots = slots[np.repeat(go, Ks[ids])]
             ids, Bm, BM, Rm, RM, eta, xi = (
                 a[go] for a in (ids, Bm, BM, Rm, RM, eta, xi)
             )

@@ -20,6 +20,8 @@ from trimreg.regression import (
     GdConfig,
     RegressorPair,
     _armijo_step,
+    _bucket_gradients,
+    _bucket_grams,
     _bucket_layout,
     _evaluate,
     _loss_diffs,
@@ -1060,9 +1062,8 @@ class TestBatchedMom:
         Bm, BM = _mom_descent(data, Ks, cfg, init, RngSeed(seed))
         for c, K in enumerate(Ks):
             bm, bM = _mom_descent(data, [K], cfg, init, RngSeed(seed))
-            for batched, single in ((Bm[c], bm[0]), (BM[c], bM[0])):
-                scale = max(float(np.abs(single).max()), 1e-300)
-                assert float(np.abs(batched - single).max()) <= 1e-12 * scale
+            assert np.array_equal(Bm[c], bm[0])
+            assert np.array_equal(BM[c], bM[0])
 
     @PROPERTY
     @given(
@@ -1078,7 +1079,7 @@ class TestBatchedMom:
         Ks = [1 + p % n for p in picks]
         diffs = rng.integers(-levels, levels + 1, size=(len(Ks), n)).astype(float)
         diffs[:, : n // 3] = 0.0
-        starts, sizes, owner, median, _ = _mom_layout(n, Ks)
+        starts, sizes, owner, median = _mom_layout(n, Ks)
         chosen = _median_buckets(diffs, starts, sizes, owner, median)
         first = np.cumsum(Ks) - Ks
         for c, K in enumerate(Ks):
@@ -1098,8 +1099,42 @@ class TestBatchedMom:
         assert np.array_equal(early[0][0], late[0][0])
         assert not np.array_equal(early[0][1], late[0][1])
         bm, bM = _mom_descent(data, [1], GdConfig(max_iters=400), init, RngSeed(4))
-        assert np.allclose(late[0][0], bm[0], rtol=1e-12, atol=0)
-        assert np.allclose(late[1][0], bM[0], rtol=1e-12, atol=0)
+        assert np.array_equal(late[0][0], bm[0])
+        assert np.array_equal(late[1][0], bM[0])
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 40),
+        d=st.integers(2, 6),
+        picks=st.lists(st.integers(0, 10**6), max_size=4),
+    )
+    def test_table_gradients_match_masked_rows(self, seed, n, d, picks):
+        # K = 1, K = n (one-row buckets, fewer rows than d) and K = n - 1,
+        # which does not divide n, so its first bucket is one row longer
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        y = rng.standard_cauchy(n)
+        Ks = [1, n, n - 1] + [1 + p % n for p in picks]
+        XtX, Xty = _bucket_grams(X, y, Ks)
+        B = rng.standard_normal((XtX.shape[0], d))
+        G, g2, xg2 = _bucket_gradients(XtX, Xty, B)
+        j = 0
+        for K in Ks:
+            # a candidate's entries have the bits of its own table
+            alone = _bucket_grams(X, y, [K])
+            assert np.array_equal(XtX[j : j + K], alone[0])
+            assert np.array_equal(Xty[j : j + K], alone[1])
+            for start, size in zip(*_bucket_layout(n, K)):
+                mask = np.zeros(n)
+                mask[start : start + size] = 1.0
+                grad = 2.0 * X.T @ (mask * (X @ B[j] - y))
+                curv = float(np.sum((mask * (X @ grad)) ** 2))
+                assert np.linalg.norm(G[j] - grad) <= 1e-10 * np.linalg.norm(grad)
+                assert g2[j] == pytest.approx(float(grad @ grad), rel=1e-10, abs=0)
+                assert xg2[j] == pytest.approx(curv, rel=1e-10, abs=0)
+                j += 1
+        assert j == XtX.shape[0]
 
 
 class TestBestMom:
