@@ -4,10 +4,12 @@ A cell is one (setup, n, d, correlation-or-mask-rate, eps, error) choice; a
 trial generates one contaminated dataset and runs every requested method on
 it, scoring against the true coefficients under the population covariance.
 Per-trial seeds are derived by hashing the cell identity, so any degree of
-parallelism produces byte-identical output after the final sort. An eps's
-trials run in chunks, and TM-AASD descends a chunk's trials as one batch in
-which each trial keeps the bits it has alone, so neither the chunking nor
-the worker count moves a byte.
+parallelism produces byte-identical output after the final sort. A run
+takes a command's configs and cuts all their trials into one list of
+chunks. Trials that request TM-AASD are grouped across configs and eps by
+the descent's batch shape, and TM-AASD descends a chunk's trials as one
+batch in which each trial keeps the bits it has alone, so neither the
+chunking nor the worker count moves a byte.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from itertools import repeat
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -79,8 +80,8 @@ DEFAULT_EPS_GRID = (0.0, 0.025, 0.05, 0.075, 0.1, 0.2, 0.3, 0.4)
 
 # Trials per run_experiment task. TM-AASD descends a task's trials as one
 # batch, with each trial's bits the same as alone; the tasks are cut from
-# each eps's trial list, whatever the worker count.
-CHUNK_TRIALS = 8
+# the trial list of each batch key (see _chunks), whatever the worker count.
+CHUNK_TRIALS = 16
 
 # RngSeed stream indices: data generation, contamination, MoM shuffling,
 # iterate initialization.
@@ -360,25 +361,26 @@ def _cell(config: ExperimentConfig, eps: float) -> tuple:
     )
 
 
-def _aasd_fits(config: ExperimentConfig, inputs: Sequence[_TrialInputs]):
+def _aasd_fits(gd: GdConfig, inputs: Sequence[_TrialInputs]):
     """Each trial's TM-AASD beta_m, or the exception its fit raised, and the
     fit time per trial.
 
-    One aasd call descends every trial of ``inputs`` as a batch. If it
-    raises, each trial is fitted alone, with the bits it has in the batch,
-    so that a failure marks only the trial it belongs to.
+    One aasd call descends every trial of ``inputs``, which share n, d and
+    k, as a batch. If it raises, each trial is fitted alone, with the bits
+    it has in the batch, so that a failure marks only the trial it belongs
+    to.
     """
     start = time.perf_counter()
     try:
         pairs = aasd(
-            [t.data for t in inputs], inputs[0].k, config.gd, [t.init for t in inputs]
+            [t.data for t in inputs], inputs[0].k, gd, [t.init for t in inputs]
         )
         fits = [pair.beta_m for pair in pairs]
     except Exception:
         fits = []
         for t in inputs:
             try:
-                fits.append(aasd(t.data, t.k, config.gd, t.init).beta_m)
+                fits.append(aasd(t.data, t.k, gd, t.init).beta_m)
             except Exception as exc:
                 fits.append(exc)
     return fits, (time.perf_counter() - start) / len(inputs)
@@ -413,7 +415,7 @@ def run_trial(
     if inputs is None:
         inputs = _TrialInputs.build(config, eps, trial)
     if aasd_fit is None and "TM-AASD" in config.methods:
-        fits, seconds = _aasd_fits(config, [inputs])
+        fits, seconds = _aasd_fits(config.gd, [inputs])
         aasd_fit = (fits[0], seconds)
     data, k, init, seed = inputs.data, inputs.k, inputs.init, inputs.seed
     mom_stream = RngSeed(seed, _STREAM_MOM)
@@ -450,44 +452,74 @@ def run_trial(
     return records
 
 
-def _run_chunk(config: ExperimentConfig, eps: float, first: int) -> List[TrialRecord]:
-    """Trials first, first + 1, ... of eps, at most CHUNK_TRIALS of them.
+def _run_chunk(chunk: Sequence[tuple]) -> List[TrialRecord]:
+    """The records of a chunk of _chunks: its (config, eps, trial) triples.
 
-    Without TM-AASD each trial is built and run in turn, so only one
-    trial's dataset is held at a time.
+    A chunk of trials that request TM-AASD shares one batch key, and one
+    aasd call descends its trials, which may come from several configs and
+    eps, as a batch. Otherwise the chunk holds trials of one eps of one
+    config, and each trial is built and run in turn, so only one trial's
+    dataset is held at a time.
     """
-    trials = range(first, min(first + CHUNK_TRIALS, config.trials))
+    config = chunk[0][0]
     if "TM-AASD" not in config.methods:
-        return [rec for t in trials for rec in run_trial(config, eps, t)]
-    inputs = [_TrialInputs.build(config, eps, t) for t in trials]
-    fits, seconds = _aasd_fits(config, inputs)
+        return [rec for c, eps, t in chunk for rec in run_trial(c, eps, t)]
+    inputs = [_TrialInputs.build(c, eps, t) for c, eps, t in chunk]
+    fits, seconds = _aasd_fits(config.gd, inputs)
     return [
         rec
-        for t, trial_inputs, beta in zip(trials, inputs, fits)
-        for rec in run_trial(config, eps, t, trial_inputs, (beta, seconds))
+        for (c, eps, t), trial_inputs, beta in zip(chunk, inputs, fits)
+        for rec in run_trial(c, eps, t, trial_inputs, (beta, seconds))
     ]
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> List[TrialRecord]:
-    """Every trial of the config's eps grid, sorted for emission.
+def _chunks(configs: Sequence[ExperimentConfig]) -> List[tuple]:
+    """Every trial of ``configs`` as (config, eps, trial) triples, cut into
+    chunks of at most CHUNK_TRIALS.
 
-    The trials of each eps run in chunks of CHUNK_TRIALS, which are
-    independent work units: with ``workers`` >= 2 they run in one process
-    pool for the whole grid, otherwise serially.
+    The trials of the configs that request TM-AASD are grouped by the
+    descent's batch key (n, d, k, gd), across configs and eps; each eps of
+    any other config forms a group of its own. The groups and their trials
+    keep grid order, and each group is cut into chunks on its own.
     """
-    chunks = range(0, config.trials, CHUNK_TRIALS)
-    eps_seq = [eps for eps in config.eps_grid for _ in chunks]
-    first_seq = [first for _ in config.eps_grid for first in chunks]
+    groups: Dict[tuple, list] = {}
+    for i, config in enumerate(configs):
+        batched = "TM-AASD" in config.methods
+        for eps in config.eps_grid:
+            k = trim_count(eps, config.n, config.trim_extra)
+            # a 4-tuple batch key never equals a 2-tuple one
+            key = (config.n, config.d, k, config.gd) if batched else (i, eps)
+            groups.setdefault(key, []).extend(
+                (config, eps, t) for t in range(config.trials)
+            )
+    return [
+        tuple(trials[first:first + CHUNK_TRIALS])
+        for trials in groups.values()
+        for first in range(0, len(trials), CHUNK_TRIALS)
+    ]
+
+
+def run_experiment(
+    configs: ExperimentConfig | Sequence[ExperimentConfig], workers: int = 1
+) -> List[TrialRecord]:
+    """Every trial of one config's eps grid, or of several configs', sorted
+    for emission.
+
+    The trials run as one list of chunks (see _chunks), which are
+    independent work units: with ``workers`` >= 2 they run in one process
+    pool for all the configs, otherwise serially.
+    """
+    if isinstance(configs, ExperimentConfig):
+        configs = [configs]
+    chunks = _chunks(configs)
     # never more workers than trials: each one is forked when the pool starts
-    workers = min(workers, config.trials * len(config.eps_grid))
+    workers = min(workers, sum(c.trials * len(c.eps_grid) for c in configs))
     if workers <= 1:
-        groups = map(_run_chunk, repeat(config), eps_seq, first_seq)
+        groups = map(_run_chunk, chunks)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(first_seq) // (4 * workers))
-            groups = list(pool.map(
-                _run_chunk, repeat(config), eps_seq, first_seq, chunksize=chunk
-            ))
+            chunksize = max(1, len(chunks) // (4 * workers))
+            groups = list(pool.map(_run_chunk, chunks, chunksize=chunksize))
     records = [rec for group in groups for rec in group]
     records.sort(key=attrgetter("sort_key"))
     return records

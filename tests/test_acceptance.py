@@ -48,7 +48,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def _run_one_cell(setup, n, error, eps, methods, **kw):
+def _run_one_cell(setup, n, error, eps, methods, base_seed=0, **kw):
     cfg = ExperimentConfig(
         setup=setup,
         n=n,
@@ -57,7 +57,7 @@ def _run_one_cell(setup, n, error, eps, methods, **kw):
         eps_grid=(eps,),
         methods=methods,
         trials=240,
-        base_seed=0,
+        base_seed=base_seed,
         **kw,
     )
     start = time.perf_counter()
@@ -121,6 +121,25 @@ def test_criterion_1d_aasd_n120_normal():
     mean = losses["TM-AASD"].mean()
     ok = 0.45 <= mean <= 1.1
     _report("criterion-1d", ok, f"aasd n=120 normal mean={mean:.4f} in [0.45, 1.1]")
+    assert ok
+
+
+# At base seeds 3 and 4 one runaway TM-AASD fit each (losses 396.0 and
+# 683.1) lifts the cell mean to 2.2285 and 3.4404. A descent rule that ends
+# the runaway fits turns these into unexpected passes; drop the marker then.
+@pytest.mark.xfail(strict=True, reason="one runaway TM-AASD fit decides the mean")
+@pytest.mark.parametrize("base_seed", [3, 4])
+def test_criterion_1d_aasd_n120_normal_other_seeds(base_seed):
+    losses, _ = _run_one_cell(
+        "A", 120, ErrorDist.normal(), 0.05, ("TM-AASD",), base_seed=base_seed
+    )
+    mean = losses["TM-AASD"].mean()
+    ok = 0.45 <= mean <= 1.1
+    _report(
+        f"criterion-1d seed {base_seed}", ok,
+        f"aasd n=120 normal mean={mean:.4f} in [0.45, 1.1] "
+        f"(largest loss {losses['TM-AASD'].max():.1f})",
+    )
     assert ok
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimreg.harness as harness
+from trimreg import cli
 from trimreg.harness import (
     COMPARISON_COLUMNS,
     DEFAULT_EPS_GRID,
@@ -225,6 +226,19 @@ class TestPool:
         two_tasks = _small_config(eps_grid=(0.1,), trials=2)
         assert run_experiment(two_tasks, workers=4) == run_experiment(two_tasks)
         assert sizes == [2, 2]
+
+    def test_one_pool_per_command(self, monkeypatch, tmp_path):
+        sizes = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        argv = ["compare-algs", "--trials", "2", "--workers", "2"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        assert sizes == [2]  # one pool for the grid's 8 configs
 
 
 class TestSummarize:
@@ -546,3 +560,89 @@ class TestChunks:
         assert aasd_losses == {t: clean[("TM-AASD", t)] for t in (0, 1, 3)}
         others = {(r.method, r.trial): r.loss for r in recs if r.trial != 2}
         assert others == {key: loss for key, loss in clean.items() if key[1] != 2}
+
+    def test_failed_aasd_fit_across_configs_marks_only_its_trial(self, monkeypatch):
+        normal = self._aasd_config(trials=4)
+        heavy = replace(normal, error_dist=ErrorDist.student_t(2))
+        assert 2 * normal.trials <= harness.CHUNK_TRIALS  # one chunk for both
+        clean = {r.sort_key: r.loss for r in run_experiment([normal, heavy])}
+        make = harness._make_trial_data
+        bad_seed = trial_seed(
+            heavy.base_seed, "A", heavy.n, heavy.d, heavy.rho, 0.1, "t2", 1
+        )
+
+        def overflowing(config, eps, seed):
+            data = make(config, eps, seed)
+            if seed == bad_seed:
+                data = replace(data, y=1e200 + data.y)
+            return data
+
+        calls = []
+        real = harness.aasd
+
+        def counting(data, *args):
+            calls.append(1 if isinstance(data, harness.Dataset) else len(data))
+            return real(data, *args)
+
+        monkeypatch.setattr(harness, "_make_trial_data", overflowing)
+        monkeypatch.setattr(harness, "aasd", counting)
+        with np.errstate(over="ignore", invalid="ignore"):
+            recs = run_experiment([normal, heavy])
+        assert calls == [8] + [1] * 8  # the shared batch, then each trial alone
+        bad = [r for r in recs if r.seed == bad_seed]
+        assert math.isinf(next(r.loss for r in bad if r.method == "TM-AASD"))
+        assert {r.sort_key: r.loss for r in recs if r.seed != bad_seed} == {
+            key: loss for key, loss in clean.items()
+            if key not in {r.sort_key for r in bad}
+        }
+
+    def test_compare_algs_grid_batches_each_shape_across_configs(self, monkeypatch):
+        calls = []
+        real = harness.aasd
+
+        def counting(data, k, *args):
+            calls.append((data[0].X.shape[0], k, len(data)))
+            return real(data, k, *args)
+
+        monkeypatch.setattr(harness, "aasd", counting)
+        configs = [
+            replace(c, gd=GdConfig(max_iters=5)) for c in table_grid_configs(trials=4)
+        ]
+        recs = run_experiment(configs)
+        # one call per (n, k): four error distributions x 4 trials each
+        assert calls == [(120, 11, 16), (120, 29, 16), (360, 23, 16), (360, 77, 16)]
+        assert len(recs) == 16 * 4 * 2
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from([("A", "normal"), ("A", "t2"), ("B", "normal")]),
+                st.sampled_from((20, 24)),
+                st.sampled_from((2, 3)),
+                st.lists(
+                    st.sampled_from((0.0, 0.05, 0.1)), min_size=1, max_size=2,
+                    unique=True,
+                ),
+                st.sampled_from((("TM-AASD", "OLS"), ("TM-AASD",), ("OLS",))),
+                st.integers(1, 9),
+            ),
+            min_size=2, max_size=4,
+        ),
+        base_seed=st.integers(0, 2**32),
+    )
+    def test_batches_across_configs_match_each_config_alone(self, cells, base_seed):
+        configs = [
+            ExperimentConfig(
+                setup=setup, n=n, d=d, error_dist=ErrorDist.from_label(error),
+                eps_grid=tuple(eps_grid), methods=methods, trials=trials,
+                base_seed=base_seed, gd=GdConfig(max_iters=20),
+            )
+            for (setup, error), n, d, eps_grid, methods, trials in cells
+        ]
+        alone = sorted(
+            (rec for c in configs for rec in run_experiment(c)),
+            key=lambda r: r.sort_key,
+        )
+        assert run_experiment(configs) == alone
+        assert run_experiment(configs, workers=2) == alone
