@@ -337,11 +337,13 @@ def _cmd_compare_algs(args) -> int:
         # with one trial every std is 0, and delta_std_pct divides by it
         raise ValueError(f"compare-algs needs --trials >= 2, got {args.trials}")
     configs = table_grid_configs(trials=args.trials, base_seed=args.seed)
-    path = os.path.join(args.out, "comparison.csv")
+    path = os.path.join(args.out, f"comparison.{args.format}")
     return _run_and_emit(
         args,
         configs,
-        lambda stats: write_table(path, COMPARISON_COLUMNS, comparison_rows(stats)),
+        lambda stats: write_table(
+            path, COMPARISON_COLUMNS, comparison_rows(stats), args.format
+        ),
     )
 
 

@@ -218,6 +218,23 @@ def _dots(u, v) -> np.ndarray:
     return np.matmul(u.transpose(0, 2, 1), v).ravel()
 
 
+def _take_steps(B, G, g2, xg2, steps):
+    """One Armijo half-step for every row of ``B``; returns (new rows,
+    carried steps, movements).
+
+    Row t steps against its gradient G[t], where g2[t] = ||G[t]||^2 and
+    xg2[t] = ||X_t G[t]||^2 on its frozen active rows X_t, by _armijo_step
+    from steps[t]; a row whose line search ran out stays where it is and
+    moves 0.0. A movement is the norm of B[t] - new[t], from one stacked
+    dot per row.
+    """
+    pairs = list(map(_armijo_step, steps, g2, xg2))
+    taken = np.array([t for t, _ in pairs])[:, None]
+    new = np.where(taken > 0.0, B - taken * G, B)
+    moved = (B - new)[:, :, None]
+    return new, [c for _, c in pairs], np.sqrt(_dots(moved, moved))
+
+
 def aasd(
     data: Dataset | Sequence[Dataset],
     k: int,
@@ -229,7 +246,7 @@ def aasd(
     Each iteration moves beta_m, then beta_M against the updated beta_m.
     A player's half-step recomputes the active set (every row when k = 0)
     and takes one grown, then backtracked, gradient step on the frozen
-    active-set SSE (see _armijo_step); if no step passes the test the
+    active-set SSE (see _take_steps); if no step passes the test the
     iterate stays as it is, and that player's movement is 0. An
     iteration's movement is the larger of its players'. The descent stops
     after an iteration whose movement is at most tol_delta, as one where
@@ -241,11 +258,12 @@ def aasd(
     sequence of datasets of one shape, the trials of a batch, with
     ``init`` None or a sequence of as many pairs; the result is then the
     list of their pairs. A batch descends together, each trial with its
-    own steps, and a trial that stops leaves it. Each trial ends with the
-    bits of its one-trial call: the products are stacked, and np.matmul
-    calls BLAS once per stack element, with that element's shape and
-    strides, so every trial gets the call that a 2-D by 1-D or a 1-D by 1-D
-    product on its own arrays makes.
+    own steps, and a trial leaves it, with its pair recorded, where it
+    stops. Each trial ends with the bits of its one-trial call: the
+    iterates are T-by-d rows, made T-by-d-by-1 columns for the stacked
+    products, and np.matmul calls BLAS once per stack element, with that
+    element's shape and strides, so every trial gets the call that a 2-D by
+    1-D or a 1-D by 1-D product on its own arrays makes.
     """
     cfg = cfg or GdConfig()
     single = isinstance(data, Dataset)
@@ -262,56 +280,44 @@ def aasd(
     if any(ds.X.shape != (n, d) for ds in datasets):
         raise ValueError("the datasets of a batch must share n and d")
     inits = [RegressorPair.zeros(d) if p is None else p for p in inits]
-    # Trial t is X[t], y[t] and the columns betas[0][t], betas[1][t].
+    # Trial t is X[t], y[t] and the rows betas[0][t], betas[1][t].
     X = np.stack([ds.X for ds in datasets])
     y = np.stack([ds.y for ds in datasets])[:, :, None]
     betas = [
-        np.stack([p.beta_m for p in inits])[:, :, None],
-        np.stack([p.beta_M for p in inits])[:, :, None],
+        np.stack([p.beta_m for p in inits]),
+        np.stack([p.beta_M for p in inits]),
     ]
-    out = [np.empty((len(datasets), d)), np.empty((len(datasets), d))]
-    steps = [[INITIAL_STEP] * len(datasets), [INITIAL_STEP] * len(datasets)]
+    out = [np.empty_like(b) for b in betas]
+    steps = [[INITIAL_STEP] * len(datasets) for _ in betas]
     ids = np.arange(len(datasets))
     m = n - 2 * k
     # Both players' squared residuals; they only pick the active set.
-    S = [_squared_residuals(X, y, b) for b in betas]
-    X_rows, y_rows = X.reshape(-1, d), y.reshape(-1)
+    S = [_squared_residuals(X, y, b[:, :, None]) for b in betas]
 
-    for _ in range(cfg.max_iters):
+    for i in range(cfg.max_iters):
         for p in (0, 1):
             _, rows = _select_active((S[0] - S[1]).reshape(-1, n), k)
-            XI = X_rows.take(rows, 0).reshape(-1, m, d)
-            yI = y_rows.take(rows).reshape(-1, m, 1)
-            beta = betas[p]
-            grad = -2.0 * (XI.transpose(0, 2, 1) @ (yI - XI @ beta))
+            XI = X.reshape(-1, d).take(rows, 0).reshape(-1, m, d)
+            yI = y.reshape(-1).take(rows).reshape(-1, m, 1)
+            grad = -2.0 * (XI.transpose(0, 2, 1) @ (yI - XI @ betas[p][:, :, None]))
             Xg = XI @ grad
-            taken, steps[p] = zip(*map(
-                _armijo_step, steps[p], _dots(grad, grad).tolist(),
-                _dots(Xg, Xg).tolist(),
-            ))
-            # a line search that ran out leaves its iterate as it is
-            taken = np.array(taken)[:, None, None]
-            new = np.where(taken > 0.0, beta - taken * grad, beta)
-            step = beta - new
-            movement = np.sqrt(_dots(step, step))
+            betas[p], steps[p], movement = _take_steps(
+                betas[p], grad[:, :, 0], _dots(grad, grad).tolist(),
+                _dots(Xg, Xg).tolist(), steps[p],
+            )
             delta = movement if p == 0 else np.maximum(delta, movement)
-            betas[p] = new
-            S[p] = _squared_residuals(X, y, new)
-        done = delta <= cfg.tol_delta
+            S[p] = _squared_residuals(X, y, betas[p][:, :, None])
+        done = (delta <= cfg.tol_delta) | (i == cfg.max_iters - 1)
         if done.any():
             for p in (0, 1):
-                out[p][ids[done]] = betas[p][done, :, 0]
+                out[p][ids[done]] = betas[p][done]
             go = ~done
             ids = ids[go]
-            betas = [b[go] for b in betas]
             if ids.size == 0:
                 break
             X, y = X[go], y[go]
+            betas, S = ([a[go] for a in arrays] for arrays in (betas, S))
             steps = [list(compress(s, go)) for s in steps]
-            S = [s[go] for s in S]
-            X_rows, y_rows = X.reshape(-1, d), y.reshape(-1)
-    for p in (0, 1):
-        out[p][ids] = betas[p][:, :, 0]
     pairs = [RegressorPair(bm, bM) for bm, bM in zip(*out)]
     return pairs[0] if single else pairs
 
@@ -550,11 +556,11 @@ def _mom_descent(
     The sample is shuffled once with ``rng``. Row c of the returned
     (C-by-d, C-by-d) pair of iterate matrices is the descent with Ks[c]
     buckets. Each half-step takes every candidate's median bucket as its
-    active set and one closed-form Armijo step on that bucket's SSE. Each
-    candidate keeps its own step sizes and stops on its own movement; a
-    stopped candidate's iterates are final and it leaves the batch. Every
-    row is computed apart from the others, so it does not depend on which
-    other candidates share the batch.
+    active set and one closed-form Armijo step on that bucket's SSE (see
+    _take_steps). Each candidate keeps its own step sizes and stops on its
+    own movement, as in aasd; its iterates are recorded where it leaves the
+    batch. Every row is computed apart from the others, so it does not
+    depend on which other candidates share the batch.
 
     A bucket's rows stay fixed for the whole descent, so X_b^T X_b and
     X_b^T y_b of every bucket are computed once, after the shuffle (see
@@ -576,48 +582,34 @@ def _mom_descent(
     XsT = Xs.T
     Ks = np.asarray(Ks, dtype=np.intp)
     ids = np.arange(Ks.size)
-    Bm = np.tile(init.beta_m, (Ks.size, 1))
-    BM = np.tile(init.beta_M, (Ks.size, 1))
-    out_m, out_M = np.empty_like(Bm), np.empty_like(BM)
-    Rm = _rowwise(Bm, XsT) - ys
-    RM = _rowwise(BM, XsT) - ys
-    eta = np.full(Ks.size, INITIAL_STEP)
-    xi = np.full(Ks.size, INITIAL_STEP)
+    B = [np.tile(init.beta_m, (Ks.size, 1)), np.tile(init.beta_M, (Ks.size, 1))]
+    out = [np.empty_like(b) for b in B]
+    R = [_rowwise(b, XsT) - ys for b in B]
+    steps = [[INITIAL_STEP] * Ks.size for _ in B]
     layout = _mom_layout(n, Ks)
     XtX, Xty = _bucket_grams(Xs, ys, Ks)
     slots = np.arange(XtX.shape[0])
 
-    def half_step(B, step, diffs, layout, slots):
-        b = slots[_median_buckets(diffs, *layout)]
-        G, g2, xg2 = _bucket_gradients(XtX[b], Xty[b], B)
-        taken, carried = np.array(
-            [_armijo_step(*args) for args in zip(step.tolist(), g2, xg2)]
-        ).T
-        new = np.where((taken > 0.0)[:, None], B - taken[:, None] * G, B)
-        return new, _rowwise(new, XsT) - ys, carried
-
-    for _ in range(cfg.max_iters):
-        new_m, Rm, eta = half_step(Bm, eta, Rm * Rm - RM * RM, layout, slots)
-        new_M, RM, xi = half_step(BM, xi, Rm * Rm - RM * RM, layout, slots)
-        delta = np.maximum(
-            np.linalg.norm(Bm - new_m, axis=1), np.linalg.norm(BM - new_M, axis=1)
-        )
-        Bm, BM = new_m, new_M
-        done = delta <= cfg.tol_delta
+    for i in range(cfg.max_iters):
+        for p in (0, 1):
+            b = slots[_median_buckets(R[0] * R[0] - R[1] * R[1], *layout)]
+            G, g2, xg2 = _bucket_gradients(XtX[b], Xty[b], B[p])
+            B[p], steps[p], movement = _take_steps(B[p], G, g2, xg2, steps[p])
+            delta = movement if p == 0 else np.maximum(delta, movement)
+            R[p] = _rowwise(B[p], XsT) - ys
+        done = (delta <= cfg.tol_delta) | (i == cfg.max_iters - 1)
         if done.any():
-            out_m[ids[done]] = Bm[done]
-            out_M[ids[done]] = BM[done]
+            for p in (0, 1):
+                out[p][ids[done]] = B[p][done]
             go = ~done
             slots = slots[np.repeat(go, Ks[ids])]
-            ids, Bm, BM, Rm, RM, eta, xi = (
-                a[go] for a in (ids, Bm, BM, Rm, RM, eta, xi)
-            )
+            ids = ids[go]
             if ids.size == 0:
                 break
+            B, R = ([a[go] for a in arrays] for arrays in (B, R))
+            steps = [list(compress(s, go)) for s in steps]
             layout = _mom_layout(n, Ks[ids])
-    out_m[ids] = Bm
-    out_M[ids] = BM
-    return out_m, out_M
+    return out
 
 
 def mom_regression(

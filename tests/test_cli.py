@@ -3,6 +3,7 @@ import json
 import pytest
 
 from trimreg.cli import build_parser, main
+from trimreg.harness import COMPARISON_COLUMNS
 
 
 def test_run_setup_a_writes_outputs(tmp_path, capsys):
@@ -160,6 +161,22 @@ def test_compare_algs_emits_delta_table(tmp_path):
         "delta_mean_pct,delta_std_pct"
     )
     assert len(lines) == 1 + 16  # {120,360} x {0.05,0.2} x 4 error dists
+
+
+def test_compare_algs_json_writes_comparison_as_json(tmp_path):
+    args = ["compare-algs", "--trials", "2", "--seed", "0", "--out"]
+    assert main(args + [str(tmp_path / "csv")]) == 0
+    assert main(args + [str(tmp_path / "json"), "--format", "json"]) == 0
+    assert not (tmp_path / "json" / "comparison.csv").exists()
+    objects = json.loads((tmp_path / "json" / "comparison.json").read_text())
+    header, *rows = (tmp_path / "csv" / "comparison.csv").read_text().splitlines()
+    assert header.split(",") == list(COMPARISON_COLUMNS)
+    assert len(objects) == len(rows) == 16
+    for obj, row in zip(objects, rows):
+        assert list(obj) == sorted(COMPARISON_COLUMNS)
+        for column, text in zip(COMPARISON_COLUMNS, row.split(",")):
+            value = obj[column]
+            assert value == (text if isinstance(value, str) else float(text))
 
 
 def test_compare_algs_one_trial_exits_2_before_running(tmp_path, capsys):

@@ -29,6 +29,7 @@ from trimreg.regression import (
     _mom_descent,
     _mom_layout,
     _select_active,
+    _take_steps,
     aasd,
     active_set,
     best_mom,
@@ -503,6 +504,47 @@ class TestArmijoProperties:
         new_beta = beta - taken * grad
         assert new_step == ref_step
         assert np.array_equal(new_beta, ref_beta)
+
+
+class TestTakeSteps:
+    """_take_steps is _armijo_step and the stay rule, row by row."""
+
+    def test_rows_match_armijo_step_and_stay_rule(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            T, d = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+            B = rng.standard_normal((T, d))
+            G = rng.standard_normal((T, d))
+            g2 = (G * G).sum(axis=1).tolist()
+            # curvatures up to 2^70 times ||G||^2 run some line searches out
+            xg2 = [g * 2.0 ** rng.uniform(-4, 70) for g in g2]
+            steps = rng.uniform(0.01, 10, size=T).tolist()
+            new, carried, movement = _take_steps(B, G, g2, xg2, steps)
+            for t in range(T):
+                taken, step = _armijo_step(steps[t], g2[t], xg2[t])
+                want = B[t] - taken * G[t] if taken > 0.0 else B[t]
+                moved = B[t] - want
+                assert np.array_equal(new[t], want)
+                assert carried[t] == step
+                assert movement[t] == np.sqrt(moved @ moved)
+
+    def test_line_search_that_runs_out_stays(self):
+        B = np.array([[1.0, -2.0], [3.0, 0.5]])
+        G = np.array([[0.5, 0.25], [1.0, 1.0]])
+        steps = [4.0, 1.0]
+        new, carried, movement = _take_steps(B, G, [0.0, 2.0], [1.0, 1.0], steps)
+        assert np.array_equal(new[0], B[0])
+        assert movement[0] == 0.0
+        assert carried[0] == 4.0 * 2.0**-60
+        assert movement[1] > 0.0
+
+    def test_zero_gradient_takes_the_grown_step_in_place(self):
+        B = np.array([[1.0, -2.0]])
+        G = np.zeros((1, 2))
+        new, carried, movement = _take_steps(B, G, [0.0], [0.0], [4.0])
+        assert np.array_equal(new, B)
+        assert carried[0] == 4.0 / THETA
+        assert movement[0] == 0.0
 
 
 class TestAasd:
