@@ -141,6 +141,10 @@ class ExperimentConfig:
     init_rule: str = "random"
 
     def __post_init__(self) -> None:
+        # -0.0 + 0.0 is 0.0: a -0 eps or rho would otherwise be written as
+        # "-0" and hashed into other trial seeds than 0's
+        object.__setattr__(self, "eps_grid", tuple(e + 0.0 for e in self.eps_grid))
+        object.__setattr__(self, "rho", self.rho + 0.0)
         if self.init_rule not in INIT_RULES:
             raise ValueError(f"init_rule must be one of {INIT_RULES}")
         if self.setup not in ("A", "B"):
@@ -159,7 +163,7 @@ class ExperimentConfig:
             raise ValueError("eps_grid must hold at least one eps")
         if any(not 0.0 <= e < 0.5 for e in self.eps_grid):
             raise ValueError("every eps must lie in [0, 1/2)")
-        if len(set(self.eps_grid)) < len(self.eps_grid):  # 0.0 == -0.0
+        if len(set(self.eps_grid)) < len(self.eps_grid):
             raise ValueError(f"eps_grid repeats a value: {self.eps_grid}")
         if not self.methods:
             raise ValueError("methods must name at least one method")

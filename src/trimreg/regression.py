@@ -10,7 +10,10 @@ one kernel over a batch of trials of one shape, with stacked products that
 give each trial the bits of its one-trial run; a trial leaves the batch when
 its movement drops to a tolerance. The refits stop at a fixed point or at a
 round cap. The median-of-means variant replaces the active set by the bucket
-whose mean loss difference achieves the median. Best-MoM sweeps bucket
+whose mean loss difference achieves the median. Both descents run through
+one loop, _descend, which takes every member's step and records each member
+at its one exit; each kernel passes it only its residuals, its active-set
+gradients and how its arrays drop a member. Best-MoM sweeps bucket
 counts using oracle access to the true coefficients; it exists purely as an
 infeasible benchmark baseline. Its candidate bucket counts descend together,
 as one batch of iterate rows, and plain MoM is the one-candidate batch.
@@ -235,6 +238,49 @@ def _take_steps(B, G, g2, xg2, steps):
     return new, [c for _, c in pairs], np.sqrt(_dots(moved, moved))
 
 
+def _descend(B, cfg: GdConfig, losses, gradients, leave):
+    """The alternating descent loop of aasd and the MoM descent over a batch.
+
+    ``B`` is the pair of T-by-d matrices of starting beta_m and beta_M
+    rows, one row per member of the batch. The kernel's math comes in as
+    three functions: ``losses(rows)`` gives a player's squared residuals
+    at its rows, ``gradients(L, rows)`` gives (G, g2, xg2) for _take_steps
+    from both players' stored residuals L and the moving player's rows,
+    and ``leave(go)`` drops the members outside the boolean mask ``go``
+    from the kernel's own arrays.
+
+    Each iteration moves beta_m, then beta_M against the updated beta_m,
+    and refreshes the moved player's residuals. Each member keeps its own
+    steps. An iteration's movement is the larger of the two players'. A
+    member whose movement is at most tol_delta, or every member on the
+    last iteration, is recorded here, the one exit, and leaves the batch;
+    ``leave`` is called only when some members leave and others stay.
+    Returns the [beta_m rows, beta_M rows] matrices, row t for member t.
+    """
+    B = list(B)
+    out = [np.empty_like(b) for b in B]
+    steps = [[INITIAL_STEP] * len(b) for b in B]
+    ids = np.arange(len(B[0]))
+    L = [losses(b) for b in B]
+    for i in range(cfg.max_iters):
+        for p in (0, 1):
+            B[p], steps[p], movement = _take_steps(B[p], *gradients(L, B[p]), steps[p])
+            delta = movement if p == 0 else np.maximum(delta, movement)
+            L[p] = losses(B[p])
+        done = (delta <= cfg.tol_delta) | (i == cfg.max_iters - 1)
+        if done.any():
+            for p in (0, 1):
+                out[p][ids[done]] = B[p][done]
+            go = ~done
+            ids = ids[go]
+            if ids.size == 0:
+                break
+            leave(go)
+            B, L = ([a[go] for a in arrays] for arrays in (B, L))
+            steps = [list(compress(s, go)) for s in steps]
+    return out
+
+
 def aasd(
     data: Dataset | Sequence[Dataset],
     k: int,
@@ -257,13 +303,14 @@ def aasd(
     zero pair), and the result is a RegressorPair. It may also be a
     sequence of datasets of one shape, the trials of a batch, with
     ``init`` None or a sequence of as many pairs; the result is then the
-    list of their pairs. A batch descends together, each trial with its
-    own steps, and a trial leaves it, with its pair recorded, where it
-    stops. Each trial ends with the bits of its one-trial call: the
-    iterates are T-by-d rows, made T-by-d-by-1 columns for the stacked
-    products, and np.matmul calls BLAS once per stack element, with that
-    element's shape and strides, so every trial gets the call that a 2-D by
-    1-D or a 1-D by 1-D product on its own arrays makes.
+    list of their pairs. A batch descends together in _descend, each
+    trial with its own steps, and a trial leaves it, with its pair
+    recorded, where it stops. Each trial ends with the bits of its
+    one-trial call: the iterates are T-by-d rows, made T-by-d-by-1 columns
+    for the stacked products, and np.matmul calls BLAS once per stack
+    element, with that element's shape and strides, so every trial gets
+    the call that a 2-D by 1-D or a 1-D by 1-D product on its own arrays
+    makes.
     """
     cfg = cfg or GdConfig()
     single = isinstance(data, Dataset)
@@ -283,41 +330,25 @@ def aasd(
     # Trial t is X[t], y[t] and the rows betas[0][t], betas[1][t].
     X = np.stack([ds.X for ds in datasets])
     y = np.stack([ds.y for ds in datasets])[:, :, None]
-    betas = [
-        np.stack([p.beta_m for p in inits]),
-        np.stack([p.beta_M for p in inits]),
-    ]
-    out = [np.empty_like(b) for b in betas]
-    steps = [[INITIAL_STEP] * len(datasets) for _ in betas]
-    ids = np.arange(len(datasets))
+    betas = [np.stack([p.beta_m for p in inits]), np.stack([p.beta_M for p in inits])]
     m = n - 2 * k
-    # Both players' squared residuals; they only pick the active set.
-    S = [_squared_residuals(X, y, b[:, :, None]) for b in betas]
 
-    for i in range(cfg.max_iters):
-        for p in (0, 1):
-            _, rows = _select_active((S[0] - S[1]).reshape(-1, n), k)
-            XI = X.reshape(-1, d).take(rows, 0).reshape(-1, m, d)
-            yI = y.reshape(-1).take(rows).reshape(-1, m, 1)
-            grad = -2.0 * (XI.transpose(0, 2, 1) @ (yI - XI @ betas[p][:, :, None]))
-            Xg = XI @ grad
-            betas[p], steps[p], movement = _take_steps(
-                betas[p], grad[:, :, 0], _dots(grad, grad).tolist(),
-                _dots(Xg, Xg).tolist(), steps[p],
-            )
-            delta = movement if p == 0 else np.maximum(delta, movement)
-            S[p] = _squared_residuals(X, y, betas[p][:, :, None])
-        done = (delta <= cfg.tol_delta) | (i == cfg.max_iters - 1)
-        if done.any():
-            for p in (0, 1):
-                out[p][ids[done]] = betas[p][done]
-            go = ~done
-            ids = ids[go]
-            if ids.size == 0:
-                break
-            X, y = X[go], y[go]
-            betas, S = ([a[go] for a in arrays] for arrays in (betas, S))
-            steps = [list(compress(s, go)) for s in steps]
+    def losses(B):
+        return _squared_residuals(X, y, B[:, :, None])
+
+    def gradients(L, B):
+        _, cells = _select_active((L[0] - L[1]).reshape(-1, n), k)
+        XI = X.reshape(-1, d).take(cells, 0).reshape(-1, m, d)
+        yI = y.reshape(-1).take(cells).reshape(-1, m, 1)
+        G = -2.0 * (XI.transpose(0, 2, 1) @ (yI - XI @ B[:, :, None]))
+        XG = XI @ G
+        return G[:, :, 0], _dots(G, G).tolist(), _dots(XG, XG).tolist()
+
+    def leave(go):
+        nonlocal X, y
+        X, y = X[go], y[go]
+
+    out = _descend(betas, cfg, losses, gradients, leave)
     pairs = [RegressorPair(bm, bM) for bm, bM in zip(*out)]
     return pairs[0] if single else pairs
 
@@ -557,18 +588,19 @@ def _mom_descent(
     (C-by-d, C-by-d) pair of iterate matrices is the descent with Ks[c]
     buckets. Each half-step takes every candidate's median bucket as its
     active set and one closed-form Armijo step on that bucket's SSE (see
-    _take_steps). Each candidate keeps its own step sizes and stops on its
-    own movement, as in aasd; its iterates are recorded where it leaves the
-    batch. Every row is computed apart from the others, so it does not
-    depend on which other candidates share the batch.
+    _take_steps). The candidates run through the loop that aasd runs,
+    _descend: each keeps its own step sizes and stops on its own
+    movement, and its iterates are recorded where it leaves the batch.
+    Every row is computed apart from the others, so it does not depend on
+    which other candidates share the batch.
 
     A bucket's rows stay fixed for the whole descent, so X_b^T X_b and
     X_b^T y_b of every bucket are computed once, after the shuffle (see
     _bucket_grams); ``slots`` maps the buckets of the candidates still in
     the batch to their table rows. A half-step reads its gradient and
     curvature from its median bucket's entries, and its one n-length
-    product refreshes the residuals of every row, which the next bucket
-    means need.
+    product refreshes the squared residuals of every row, which the next
+    bucket means need.
     """
     n = data.n
     for K in Ks:
@@ -581,35 +613,26 @@ def _mom_descent(
     Xs, ys = data.X[perm], data.y[perm]
     XsT = Xs.T
     Ks = np.asarray(Ks, dtype=np.intp)
-    ids = np.arange(Ks.size)
-    B = [np.tile(init.beta_m, (Ks.size, 1)), np.tile(init.beta_M, (Ks.size, 1))]
-    out = [np.empty_like(b) for b in B]
-    R = [_rowwise(b, XsT) - ys for b in B]
-    steps = [[INITIAL_STEP] * Ks.size for _ in B]
     layout = _mom_layout(n, Ks)
     XtX, Xty = _bucket_grams(Xs, ys, Ks)
     slots = np.arange(XtX.shape[0])
 
-    for i in range(cfg.max_iters):
-        for p in (0, 1):
-            b = slots[_median_buckets(R[0] * R[0] - R[1] * R[1], *layout)]
-            G, g2, xg2 = _bucket_gradients(XtX[b], Xty[b], B[p])
-            B[p], steps[p], movement = _take_steps(B[p], G, g2, xg2, steps[p])
-            delta = movement if p == 0 else np.maximum(delta, movement)
-            R[p] = _rowwise(B[p], XsT) - ys
-        done = (delta <= cfg.tol_delta) | (i == cfg.max_iters - 1)
-        if done.any():
-            for p in (0, 1):
-                out[p][ids[done]] = B[p][done]
-            go = ~done
-            slots = slots[np.repeat(go, Ks[ids])]
-            ids = ids[go]
-            if ids.size == 0:
-                break
-            B, R = ([a[go] for a in arrays] for arrays in (B, R))
-            steps = [list(compress(s, go)) for s in steps]
-            layout = _mom_layout(n, Ks[ids])
-    return out
+    def losses(B):
+        R = _rowwise(B, XsT) - ys
+        return R * R
+
+    def gradients(L, B):
+        b = slots[_median_buckets(L[0] - L[1], *layout)]
+        return _bucket_gradients(XtX[b], Xty[b], B)
+
+    def leave(go):
+        nonlocal slots, Ks, layout
+        slots = slots[np.repeat(go, Ks)]
+        Ks = Ks[go]
+        layout = _mom_layout(n, Ks)
+
+    B = [np.tile(init.beta_m, (Ks.size, 1)), np.tile(init.beta_M, (Ks.size, 1))]
+    return _descend(B, cfg, losses, gradients, leave)
 
 
 def mom_regression(

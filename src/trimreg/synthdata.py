@@ -12,6 +12,7 @@ calls agree bitwise within one build of this package.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -67,8 +68,8 @@ class ErrorDist:
             if self.nu is not None:
                 raise ValueError("normal errors take no degrees of freedom")
         elif self.kind == "student_t":
-            if self.nu is None or int(self.nu) < 1:
-                raise ValueError(f"student_t requires integer nu >= 1, got {self.nu}")
+            if not isinstance(self.nu, numbers.Integral) or self.nu < 1:
+                raise ValueError(f"student_t requires integer nu >= 1, got {self.nu!r}")
         else:
             raise ValueError(f"unknown error kind {self.kind!r}")
 

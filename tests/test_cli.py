@@ -151,6 +151,21 @@ def test_identical_runs_are_byte_identical(tmp_path):
         assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
 
 
+@pytest.mark.parametrize("negative", [["--eps-grid=-0,0.1"], ["--rho=-0"]])
+def test_negative_zero_runs_the_zero_cell(tmp_path, negative):
+    # "-0" once went into the eps and rho_or_p columns, the metadata and
+    # the trial seeds, so the cell drew other data than 0's
+    zero, neg = tmp_path / "zero", tmp_path / "neg"
+    args = [
+        "run-setup-a", "--n", "40", "--d", "3", "--eps-grid", "0,0.1",
+        "--methods", "OLS", "--trials", "2",
+    ]
+    assert main(args + ["--out", str(zero)]) == 0
+    assert main(args + negative + ["--out", str(neg)]) == 0
+    for name in ("trials.csv", "summary.csv", "metadata.json"):
+        assert (neg / name).read_bytes() == (zero / name).read_bytes()
+
+
 def test_compare_algs_emits_delta_table(tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare-algs", "--trials", "2", "--seed", "5", "--out", str(out)])

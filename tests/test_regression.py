@@ -23,6 +23,7 @@ from trimreg.regression import (
     _bucket_gradients,
     _bucket_grams,
     _bucket_layout,
+    _descend,
     _evaluate,
     _loss_diffs,
     _median_buckets,
@@ -545,6 +546,100 @@ class TestTakeSteps:
         assert np.array_equal(new, B)
         assert carried[0] == 4.0 / THETA
         assert movement[0] == 0.0
+
+
+class _Quadratics:
+    """A stub kernel for _descend: both players of member t descend
+    a[t] * (b - c[t])**2 in one dimension. It follows which members are in
+    the batch from the masks that ``leave`` gets, logs every member's rows
+    after each update, and checks that the rows and residuals the driver
+    hands it are those of the members it follows."""
+
+    def __init__(self, a, c):
+        self.a, self.c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
+        self.members = np.arange(self.a.size)
+        self.rows = [[[] for _ in a] for _ in (0, 1)]  # rows[p][t], in order
+        self.updates = 0  # losses calls; they alternate beta_m, beta_M
+        self.half_steps = 0  # gradients calls; they alternate too
+        self.masks = []
+
+    def _latest(self, p):
+        return [self.rows[p][t][-1] for t in self.members]
+
+    def losses(self, B):
+        p = self.updates % 2
+        self.updates += 1
+        for t, b in zip(self.members, B[:, 0]):
+            self.rows[p][t].append(b)
+        return B.copy()
+
+    def gradients(self, L, B):
+        p = self.half_steps % 2
+        self.half_steps += 1
+        assert 0 < B.shape[0] == self.members.size
+        assert np.array_equal(B[:, 0], self._latest(p))
+        for q in (0, 1):
+            assert np.array_equal(L[q][:, 0], self._latest(q))
+        a, c = self.a[self.members], self.c[self.members]
+        G = 2.0 * a * (B[:, 0] - c)
+        return G[:, None], (G * G).tolist(), (a * G * G).tolist()
+
+    def leave(self, go):
+        assert go.any() and not go.all()
+        self.masks.append(go.copy())
+        self.members = self.members[go]
+
+
+class TestDescend:
+    """_descend records each member at the iteration where it stops, with
+    that iteration's rows, and drops members by the mask ``leave`` gets."""
+
+    # Steps grow to the largest power of 2 at most 1/a, so each a < 1 or
+    # a > 1 contracts at its own rate; a = 1 jumps from b to 2c - b forever.
+    A = [0.3, 0.7, 3.0, 1.2, 1.0, 0.3]
+    C = [1.0, -2.0, 0.5, 4.0, 1.0, -3.0]
+    START = [[0.0, 5.0, -1.0, 2.0, 3.0, 100.0], [2.0, 1.0, 0.0, -7.0, -1.0, 0.5]]
+
+    def _descend(self, cfg):
+        stub = _Quadratics(self.A, self.C)
+        B = [np.array(rows)[:, None] for rows in self.START]
+        out = _descend(B, cfg, stub.losses, stub.gradients, stub.leave)
+        return stub, out
+
+    @pytest.mark.parametrize(
+        "tol_delta, cap", [(1e-4, 1000), (1e-2, 12), (0.5, 8), (1e-3, 40)]
+    )
+    def test_member_is_recorded_where_it_stops(self, tol_delta, cap):
+        stub, out = self._descend(GdConfig(tol_delta=tol_delta, max_iters=cap))
+        stops = []
+        for t in range(len(self.A)):
+            history = [np.array(stub.rows[p][t]) for p in (0, 1)]
+            # the movement of iteration j is the larger of the two players'
+            moved = np.maximum(*(np.abs(np.diff(h)) for h in history))
+            small = (moved <= tol_delta).nonzero()[0]
+            stop = small[0] if small.size else cap - 1
+            assert stop < cap
+            assert moved.size == stop + 1  # not moved after it stopped
+            for p in (0, 1):
+                assert out[p][t, 0] == history[p][stop + 1]
+            stops.append(stop)
+        # a = 1 runs to the cap, after every other member has left; each
+        # earlier iteration where members stop calls leave once
+        assert stops[4] == cap - 1 > max(stops[:4] + stops[5:])
+        assert len(stub.masks) == len(set(stops)) - 1
+
+    def test_members_leaving_together_end_the_loop(self):
+        # on the cap, or all at once at a tol_delta equal to the largest
+        # movement of the first iteration: one iteration, every member
+        # recorded, and neither leave nor gradients on no members
+        first, _ = self._descend(GdConfig(max_iters=1))
+        largest = max(abs(r[1] - r[0]) for p in (0, 1) for r in first.rows[p])
+        for cfg in (GdConfig(max_iters=1), GdConfig(tol_delta=largest)):
+            stub, out = self._descend(cfg)
+            assert stub.half_steps == 2
+            assert stub.masks == []
+            for p in (0, 1):
+                assert np.array_equal(out[p][:, 0], [r[1] for r in stub.rows[p]])
 
 
 class TestAasd:
@@ -1096,11 +1191,17 @@ class TestBatchedMom:
         n=st.integers(2, 40),
         d=st.integers(1, 4),
         picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+        cap=st.integers(1, 60),
+        tol_delta=st.sampled_from([1e-4, 1e-2, 1e-1, 1.0]),
     )
-    def test_columns_match_single_candidate_runs(self, seed, n, d, picks):
+    def test_columns_match_single_candidate_runs(
+        self, seed, n, d, picks, cap, tol_delta
+    ):
+        # candidates leave the batch at many iterations, so the bucket
+        # slots and layout of those that stay are taken again each time
         data, init = _heavy_tailed_problem(seed, n, d)
         Ks = [1 + p % n for p in picks]
-        cfg = GdConfig(max_iters=60)
+        cfg = GdConfig(tol_delta=tol_delta, max_iters=cap)
         Bm, BM = _mom_descent(data, Ks, cfg, init, RngSeed(seed))
         for c, K in enumerate(Ks):
             bm, bM = _mom_descent(data, [K], cfg, init, RngSeed(seed))

@@ -35,6 +35,10 @@ class TestErrorDist:
     def test_validation(self):
         with pytest.raises(ValueError):
             ErrorDist("student_t", 0)
+        # a float nu was once labelled t1.5, and only its draw raised
+        for nu in (1.5, 2.0, None):
+            with pytest.raises(ValueError, match="integer nu"):
+                ErrorDist("student_t", nu)
         with pytest.raises(ValueError):
             ErrorDist("weibull")
         with pytest.raises(ValueError):
