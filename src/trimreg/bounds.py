@@ -51,9 +51,11 @@ class MomentProfile:
         ps = [p for p, _ in entries]
         if len(set(ps)) != len(ps):
             raise ValueError("moment exponents must be distinct")
-        if any(p < 1.0 for p in ps):
+        # written as `not x >= bound` so that NaN fails; an infinite moment
+        # passes, and means the bound is not finite
+        if not all(p >= 1.0 for p in ps):
             raise ValueError("moment exponents must be >= 1")
-        if any(v < 0.0 for _, v in entries):
+        if not all(v >= 0.0 for _, v in entries):
             raise ValueError("moment values must be nonnegative")
         if not any(1.0 <= p <= 2.0 for p in ps):
             raise ValueError("need at least one exponent in [1, 2]")
@@ -83,7 +85,7 @@ class UniformBoundInputs:
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.emp < 0.0:
+        if not self.emp >= 0.0:
             raise ValueError("empirical-process expectation must be nonnegative")
         _check_nea(self.n, self.eps, self.alpha, formula_only=True)
 
@@ -106,9 +108,9 @@ class RegressionBoundInputs:
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.theta0 < 1.0:
+        if not self.theta0 >= 1.0:
             raise ValueError("theta0 is an L2/L1 ratio and must be >= 1")
-        if self.r_q < 0.0 or self.r_m < 0.0:
+        if not (self.r_q >= 0.0 and self.r_m >= 0.0):
             raise ValueError("critical radii must be nonnegative")
         _check_nea(self.n, self.eps, self.alpha, formula_only=True)
 
@@ -156,9 +158,9 @@ def c_j_epsilon(t: Sequence[int], j: int, eps: float, eps_bar: float) -> float:
         raise ValueError("t must be a nonempty list of positive integers")
     if not 0 <= j < len(t):
         raise ValueError(f"index j={j} out of range for {len(t)} families")
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    if eps > 0.0 and eps_bar <= 0.0:
+    if eps > 0.0 and not eps_bar > 0.0:
         raise ValueError("eps_bar must be positive")
     ratio = 0.0 if eps == 0.0 else eps / eps_bar
     return 192.0 * (1.0 + sum(t) / t[j] + ratio)
@@ -299,7 +301,7 @@ def chernoff_coupling_bound(n: int, p: float, eps: float) -> float:
         raise ValueError(f"n must be a positive integer, got {n}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    if eps <= p:
+    if not eps > p:
         raise ValueError(f"need eps > p for the bound, got eps={eps}, p={p}")
     exponent = (eps - p) ** 2 * n / (2.0 * p * (1.0 - p) + 2.0 * eps)
     return min(1.0, max(0.0, 1.0 - math.exp(-exponent)))

@@ -90,9 +90,10 @@ def _parse_profile(text: str):
             pairs.append((float(p), float(v)))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad moment entry {tok!r}: {exc}")
-    if not pairs:
-        raise argparse.ArgumentTypeError("moment profile must be nonempty")
-    return bnd.MomentProfile(tuple(pairs))
+    try:
+        return bnd.MomentProfile(tuple(pairs))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:

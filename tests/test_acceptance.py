@@ -230,6 +230,28 @@ def test_criterion_4_companion_aasd_stays_at_start():
     assert at_start == 8
 
 
+def test_criterion_4_companion_objective_is_flat():
+    # Why the criterion holds: a row with X = 0 has loss difference exactly
+    # 0 for every pair, and in each of the cell's 240 trials at most k rows
+    # carry covariates (66-141 against k = 205). They all sort into the
+    # trimmed tails, so F = 0 on every pair and every regressor is a
+    # min-max estimator; TM-AASD's fit is decided by its start and the tie
+    # rule. Builds the data only.
+    n, eps = 1000, 0.2
+    config = ExperimentConfig(setup="B", n=n, p=0.3, eps_grid=(eps,))
+    k = trim_count(eps, n)
+    counts = []
+    for trial in range(240):
+        seed = trial_seed(0, "B", n, config.d, config.p, eps, "normal", trial)
+        counts.append(int(_make_trial_data(config, eps, seed).X.any(axis=1).sum()))
+    _report(
+        "criterion-4-companion-flat", max(counts) <= k,
+        f"rows with covariates {min(counts)}-{max(counts)} <= k = {k} in 240 trials",
+    )
+    assert k == 205
+    assert max(counts) <= k
+
+
 # --- Cap check: no loss depends on where an iteration cap lands -------------
 
 

@@ -34,6 +34,17 @@ class TestMomentProfile:
         with pytest.raises(ValueError):
             MomentProfile(((3.0, 1.0),))  # nothing in [1, 2]
 
+    @pytest.mark.parametrize(
+        "entries", [((2.0, math.nan),), ((math.nan, 1.0), (2.0, 1.0))]
+    )
+    def test_rejects_nan(self, entries):
+        with pytest.raises(ValueError):
+            MomentProfile(entries)
+
+    def test_infinite_moment_gives_no_finite_bound(self):
+        nu = MomentProfile(((2.0, math.inf),))
+        assert phi_p_uniform(UniformBoundInputs(0.0, nu, 100, 0.05, 0.05)) == math.inf
+
     def test_terms(self):
         prof = MomentProfile(((1.0, 2.0), (2.0, 1.0), (4.0, 3.0)))
         # fluctuation: only p in [1,2]; ratio=0.01: min(2*0.01^0, 1*0.1) = 0.1
@@ -86,6 +97,10 @@ class TestCJEpsilon:
             c_j_epsilon([1], 0, 0.1, 0.0)
         with pytest.raises(ValueError):
             c_j_epsilon([1], 1, 0.1, 0.1)
+        with pytest.raises(ValueError):
+            c_j_epsilon([1], 0, math.nan, 0.1)
+        with pytest.raises(ValueError):
+            c_j_epsilon([1], 0, 0.1, math.nan)
 
     def test_default_eps_bar(self):
         assert default_eps_bar(0.1, 1) == pytest.approx(0.05)
@@ -144,6 +159,10 @@ class TestPhiPUniform:
             alpha=3.0 / math.e,  # ln(3/alpha) = 1
         )
         assert phi_p_uniform(inputs) == pytest.approx(76.8)
+
+    def test_rejects_nan_expectation(self):
+        with pytest.raises(ValueError):
+            UniformBoundInputs(math.nan, MomentProfile(((2.0, 1.0),)), 100, 0.05, 0.05)
 
     def test_zero_inputs_give_zero(self):
         inputs = UniformBoundInputs(
@@ -206,6 +225,11 @@ class TestPhiPRegression:
         with pytest.raises(ValueError):
             self._inputs(theta0=0.9)
 
+    @pytest.mark.parametrize("field", ["theta0", "r_q", "r_m"])
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValueError):
+            self._inputs(**{field: math.nan})
+
     def test_monotone_in_eps_and_n(self):
         prof = MomentProfile(((1.0, 1.0), (2.0, 1.0)))
         for n in (50, 500, 5000):
@@ -254,3 +278,5 @@ class TestChernoffCoupling:
     def test_requires_eps_above_p(self):
         with pytest.raises(ValueError):
             chernoff_coupling_bound(100, 0.2, 0.2)
+        with pytest.raises(ValueError):
+            chernoff_coupling_bound(100, 0.2, math.nan)

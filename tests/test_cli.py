@@ -233,12 +233,32 @@ def test_bounds_subcommand(tmp_path):
         (["--n-max", "0"], "--n-max"),
         (["--eps-step", "0"], "--eps-step"),
         (["--slice-eps", "0.6"], "eps must lie in"),  # checked per slice row
+        (["--slice-eps", "nan"], "eps must lie in"),
+        (["--slice-emp", "nan"], "empirical-process expectation"),
     ],
 )
 def test_bad_bounds_setting_exits_2_with_no_output(tmp_path, capsys, flags, message):
     out = tmp_path / "bad"
     assert main(["bounds", "--out", str(out)] + flags) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "profile, message",
+    [
+        ("2:nan", "moment values must be nonnegative"),
+        ("nan:1,2:1", "moment exponents must be >= 1"),
+        ("2:-1", "moment values must be nonnegative"),
+        ("", "moment profile must be nonempty"),
+    ],
+)
+def test_bad_moment_profile_exits_2_with_no_output(tmp_path, capsys, profile, message):
+    out = tmp_path / "bad"
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--out", str(out), "--slice-nu", profile])
+    assert exc.value.code == 2
+    assert f"argument --slice-nu: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

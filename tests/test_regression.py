@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from trimreg.harness import (
 import trimreg.regression as regression
 from trimreg.regression import (
     CONCENTRATION_CAP,
+    GRAM_COND_MAX,
     LINE_SEARCH_CAP,
     THETA,
     ZERO_DIFF_RTOL,
@@ -54,6 +57,56 @@ from trimreg.synthdata import (
 def _clean_data(n=100, d=5, seed=0):
     beta = np.arange(1.0, d + 1.0)
     return gen_setup_a(n, d, 0.0, ErrorDist.normal(), beta, RngSeed(seed))
+
+
+# Largest max-norm difference, relative to the max norm of lstsq's answer,
+# allowed between fit_least_squares and lstsq where the normal equations
+# solve; systems of every spectrum up to the guard have kept within 7e-11.
+LSTSQ_RTOL = 1e-9
+
+
+def _agrees_with_lstsq(beta, X, y) -> bool:
+    want = np.linalg.lstsq(X, y, rcond=None)[0]
+    return np.abs(beta - want).max() <= LSTSQ_RTOL * np.abs(want).max()
+
+
+def _meets_residual_bound(beta, X, y) -> bool:
+    # the normal-equation residual bound of fit_least_squares' docstring
+    return np.abs(X.T @ (y - X @ beta)).max() <= 1e-8 * (1.0 + np.abs(X.T @ y).max())
+
+
+def _spectrum_system(s, m, seed):
+    """An m-by-len(s) design with singular values s, and a response."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((m, len(s))))[0]
+    V = np.linalg.qr(rng.standard_normal((len(s), len(s))))[0]
+    return (U * s) @ V.T, rng.standard_normal(m)
+
+
+def _guard_system(bound):
+    """A 12-by-3 system whose Gram matrix has tr(G) * tr(G^-1) = bound.
+
+    Singular values (1, 1, s) give (2 + s^2)(2 + 1/s^2) = 5 + 2 s^2 + 2/s^2,
+    which is ``bound`` at the smaller root s^2 of 2 s^4 + (5 - bound) s^2 + 2.
+    """
+    c = bound - 5.0
+    s2 = (c - math.sqrt(c * c - 16.0)) / 4.0
+    return _spectrum_system(np.array([1.0, 1.0, math.sqrt(s2)]), 12, 11)
+
+
+def _lstsq_calls(X, y):
+    """fit_least_squares(X, y) and how many times it called lstsq."""
+    calls = []
+    real = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "lstsq", spy)
+        beta = fit_least_squares(X, y)
+    return beta, len(calls)
 
 
 class TestFitLeastSquares:
@@ -118,7 +171,7 @@ class TestFitLeastSquares:
         X = rng.standard_normal((m, d))
         y = rng.standard_normal(m)
         base = fit_least_squares(X, y)
-        assert np.array_equal(base, np.linalg.lstsq(X, y, rcond=None)[0])
+        assert _agrees_with_lstsq(base, X, y)
         at = rng.integers(0, m + 1, size=zeros)
         Xz = np.insert(X, at, 0.0, axis=0)
         yz = np.insert(y, at, y_scale * rng.standard_normal(zeros))
@@ -157,6 +210,64 @@ class TestFitLeastSquares:
         Xz = np.vstack([X, np.zeros((1000, 2))])
         yz = np.concatenate([y, np.ones(1000)])
         assert np.array_equal(fit_least_squares(Xz, yz), base)
+
+    def test_normal_equations_on_well_conditioned_draws(self):
+        # Gaussian draws, and Setup-A and Setup-B designs with d = 20 (whole,
+        # and row subsets as a refit gets them), solve from the normal
+        # equations and agree with lstsq
+        rng = np.random.default_rng(12)
+        systems = []
+        for _ in range(60):
+            d = int(rng.integers(1, 21))
+            m = int(rng.integers(2 * d, 6 * d + 1))
+            systems.append((rng.standard_normal((m, d)), rng.standard_normal(m)))
+        beta = np.ones(20)
+        designs = []
+        for seed in range(4):
+            for n in (120, 360):
+                clean = gen_setup_a(n, 20, 0.5, ErrorDist.student_t(1), beta, RngSeed(seed))
+                designs.append(contaminate_a(clean, 0.1, RngSeed(seed, 1)))
+            clean, mask = gen_setup_b(1000, 20, 0.3, beta, RngSeed(seed))
+            designs.append(contaminate_b(clean, mask, 0.2, RngSeed(seed, 1)))
+            designs.append(gen_setup_b(200, 20, 0.6, beta, RngSeed(seed))[0])
+        for ds in designs:
+            rows = np.sort(rng.permutation(ds.n)[: ds.n // 2])
+            systems += [(ds.X, ds.y), (ds.X[rows], ds.y[rows])]
+        for X, y in systems:
+            got, lstsq_calls = _lstsq_calls(X, y)
+            assert lstsq_calls == 0
+            assert _agrees_with_lstsq(got, X, y)
+            assert _meets_residual_bound(got, X, y)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["fewer_rows", "square_near_singular", "collinear", "gram_overflow", "past_guard"],
+    )
+    def test_fallbacks_give_lstsq_bits(self, case):
+        rng = np.random.default_rng(13)
+        if case == "fewer_rows":
+            X, y = rng.standard_normal((4, 6)), rng.standard_normal(4)
+        elif case == "square_near_singular":
+            X, y = _spectrum_system(np.array([1.0, 0.5, 0.2, 1e-9]), 4, 13)
+        elif case == "collinear":
+            X, y = rng.standard_normal((30, 4)), rng.standard_normal(30)
+            X[:, 3] = 2.0 * X[:, 1]
+        elif case == "gram_overflow":
+            X, y = 1e160 * rng.standard_normal((30, 4)), rng.standard_normal(30)
+            assert np.all(np.isfinite(X)) and not np.all(np.isfinite(X.T @ X))
+        else:
+            X, y = _guard_system(GRAM_COND_MAX * 1.001)
+        got, lstsq_calls = _lstsq_calls(X, y)
+        assert lstsq_calls == 1
+        assert np.array_equal(got, np.linalg.lstsq(X, y, rcond=None)[0])
+
+    def test_normal_equations_just_inside_the_guard(self):
+        # the system of the past_guard case above, a little better conditioned
+        X, y = _guard_system(GRAM_COND_MAX * 0.999)
+        got, lstsq_calls = _lstsq_calls(X, y)
+        assert lstsq_calls == 0
+        assert _agrees_with_lstsq(got, X, y)
+        assert _meets_residual_bound(got, X, y)
 
     def test_all_zero_rows_give_zeros(self):
         y = np.random.default_rng(5).standard_normal(7)
