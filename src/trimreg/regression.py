@@ -154,7 +154,7 @@ def fit_least_squares(X, y) -> np.ndarray:
         raise ValueError("X must be n-by-d and y a matching length-n vector")
     if X.shape[0] < 1:
         raise ValueError("need at least one observation")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("least-squares input contains non-finite entries")
     nonzero = X.any(axis=1)
     if not nonzero.all():
@@ -385,8 +385,13 @@ def aasd(
     return pairs[0] if single else pairs
 
 
-def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M, tol: float):
+def _evaluate(spec: TrimSpec, losses_m, losses_M, tol: float):
     """(T_k(l(beta_m) - l(beta_M)), active set) from one loss-difference vector.
+
+    ``losses_m`` and ``losses_M`` are the two iterates' squared residuals
+    over all n rows, as _squared_residuals gives them, so their difference
+    has the bits of _loss_diffs; plug_in stores each iterate's vector once
+    per call and passes it to every pair the iterate belongs to.
 
     Differences within ``tol`` of zero are set to zero first. They are
     rounding noise where exact arithmetic gives zero: two fits that
@@ -401,7 +406,7 @@ def _evaluate(X, y, spec: TrimSpec, beta_m, beta_M, tol: float):
     zeroing leaves no -0.0, so the sorted values have the bits of any sort
     by (value, index).
     """
-    diffs = _loss_diffs(X, y, beta_m, beta_M)
+    diffs = losses_m - losses_M
     diffs[np.abs(diffs) <= tol] = 0.0
     values, idx = _select_active(diffs[None], spec.k)
     return trimmed_mean(values[0], spec), idx
@@ -454,10 +459,13 @@ def plug_in(
     well-conditioned row set, as on nearly every Setup-A and Setup-B
     refit, and lstsq's minimum-norm answer on a set with fewer rows than
     columns or past the GRAM_COND_MAX guard. Each such row set is solved
-    once per call, and a repeat returns the same array. Likewise each
-    pair's F and active set are computed once per call, keyed by the
-    pair's bytes: a refit bit-equal to the iterate finds the current
-    pair's F, ties it with an equal norm, and is not kept.
+    once per call, and a repeat returns the same array. Likewise, keyed by
+    bytes, each iterate's squared residuals over all n rows are computed
+    once per call, and each pair's F and active set once per call from its
+    two iterates' stored residuals. A move evaluates every candidate
+    against the same unchanged iterate, so an evaluation takes about one
+    new n-row product, not two. A refit bit-equal to the iterate finds the
+    current pair's F, ties it with an equal norm, and is not kept.
     """
     X, y = data.X, data.y
     n, d = X.shape
@@ -469,6 +477,7 @@ def plug_in(
     tol = ZERO_DIFF_RTOL * float(y @ y) / n
     nonzero = X.any(axis=1)
     solved = {b"": np.zeros(d)}  # covariate row set -> refit
+    squared = {}  # iterate bytes -> squared residuals over all n rows
     evaluated = {}  # pair bytes -> (F, active set)
 
     def refit(idx):
@@ -479,11 +488,18 @@ def plug_in(
             beta = solved[key] = fit_least_squares(X[rows], y[rows])
         return beta
 
+    def losses(beta):
+        key = beta.tobytes()
+        sq = squared.get(key)
+        if sq is None:
+            sq = squared[key] = _squared_residuals(X, y, beta)
+        return sq
+
     def evaluate(pair):
         key = pair[0].tobytes() + pair[1].tobytes()
         hit = evaluated.get(key)
         if hit is None:
-            hit = evaluated[key] = _evaluate(X, y, spec, *pair, tol)
+            hit = evaluated[key] = _evaluate(spec, *map(losses, pair), tol)
         return hit
 
     def move(p, betas):
@@ -731,7 +747,9 @@ def loss_l2(beta_hat, beta_star, Sigma) -> float:
         raise ValueError("coefficient vectors must have matching lengths")
     if S.shape != (bh.size, bh.size):
         raise ValueError(f"Sigma must be {bh.size}x{bh.size}, got {S.shape}")
-    if not np.allclose(S, S.T, rtol=1e-10, atol=1e-12):
+    # the exact test first: it is much cheaper than allclose and accepts
+    # nothing that allclose would reject
+    if not (np.array_equal(S, S.T) or np.allclose(S, S.T, rtol=1e-10, atol=1e-12)):
         raise ValueError("Sigma must be symmetric")
     diff = bh - bs
     quad = float(diff @ S @ diff)

@@ -33,6 +33,7 @@ from trimreg.regression import (
     _mom_descent,
     _mom_layout,
     _select_active,
+    _squared_residuals,
     _take_steps,
     aasd,
     active_set,
@@ -155,6 +156,15 @@ class TestFitLeastSquares:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             fit_least_squares(np.array([[np.inf]]), np.array([1.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            X, y = np.eye(3), np.ones(3)
+            X[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                fit_least_squares(X, y)
+            X, y = np.eye(3), np.ones(3)
+            y[2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                fit_least_squares(X, y)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
@@ -499,7 +509,9 @@ class TestOneSortEvaluation:
         beta_m = rng.integers(-1, 2, size=d).astype(float)
         beta_M = beta_m.copy() if same_pair else rng.integers(-1, 2, size=d).astype(float)
         k = int(k_frac * ((n - 1) // 2))
-        value, idx = _evaluate(X, y, TrimSpec(k, n), beta_m, beta_M, tol)
+        losses_m = _squared_residuals(X, y, beta_m)
+        losses_M = _squared_residuals(X, y, beta_M)
+        value, idx = _evaluate(TrimSpec(k, n), losses_m, losses_M, tol)
         diffs = _loss_diffs(X, y, beta_m, beta_M)
         want_value, want_idx = self._two_sorts(diffs, k, tol)
         assert _bits(value) == _bits(want_value)
@@ -520,13 +532,12 @@ class TestOneSortEvaluation:
     )
     def test_same_bits_on_signed_zeros_and_ties(self, diffs, k_frac, tol):
         # loss differences of squares never come out -0.0, so the vector is
-        # fed to _evaluate in place of _loss_diffs' output
+        # fed to _evaluate as beta_m's losses against zero losses for
+        # beta_M; subtracting +0.0 leaves every value's bits, -0.0 too
         diffs = np.array(diffs)
         n = diffs.size
         k = int(k_frac * ((n - 1) // 2))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(regression, "_loss_diffs", lambda *args: diffs.copy())
-            value, idx = _evaluate(None, None, TrimSpec(k, n), None, None, tol)
+        value, idx = _evaluate(TrimSpec(k, n), diffs, np.zeros(n), tol)
         want_value, want_idx = self._two_sorts(diffs, k, tol)
         assert _bits(value) == _bits(want_value)
         assert np.array_equal(idx, want_idx)
@@ -932,8 +943,28 @@ class TestPlugIn:
                 assert np.allclose(got.beta_m, want.beta_m, rtol=1e-9, atol=1e-12)
                 assert np.allclose(got.beta_M, want.beta_M, rtol=1e-9, atol=1e-12)
 
+    @staticmethod
+    def _cache_cells():
+        """(data, k, init) of the first 4 trials of Setup B (n=1000, p=0.3)
+        at eps 0 and 0.2, and Setup A (n=120, t1 noise) at eps 0 and 0.1,
+        base seed 0."""
+        t1 = ErrorDist.student_t(1)
+        cells = [
+            (ExperimentConfig(setup="B", n=1000, p=0.3), (0.0, 0.2)),
+            (ExperimentConfig(setup="A", n=120, error_dist=t1), (0.0, 0.1)),
+        ]
+        for config, eps_grid in cells:
+            for eps in eps_grid:
+                k = trim_count(eps, config.n)
+                for trial in range(4):
+                    seed = trial_seed(
+                        0, config.setup, config.n, config.d, config.rho_or_p, eps,
+                        config.error_dist.label, trial,
+                    )
+                    data = _make_trial_data(config, eps, seed)
+                    yield data, k, _initial_pair(config, seed)
+
     def test_one_solve_per_row_set(self):
-        # Setup B (n=1000, p=0.3) and Setup A (n=120, t1 noise), base seed 0.
         # A refit on a row set that the same call has solved reuses that
         # solution, and the result keeps its bits.
         calls = []
@@ -942,68 +973,81 @@ class TestPlugIn:
             calls.append((X.shape, X.tobytes(), y.tobytes()))
             return fit_least_squares(X, y)
 
-        t1 = ErrorDist.student_t(1)
-        cells = [
-            (ExperimentConfig(setup="B", n=1000, p=0.3), (0.0, 0.2)),
-            (ExperimentConfig(setup="A", n=120, error_dist=t1), (0.0, 0.1)),
-        ]
         solves = 0
-        for config, eps_grid in cells:
-            for eps in eps_grid:
-                k = trim_count(eps, config.n)
-                for trial in range(4):
-                    seed = trial_seed(
-                        0, config.setup, config.n, config.d, config.rho_or_p, eps,
-                        config.error_dist.label, trial,
-                    )
-                    data = _make_trial_data(config, eps, seed)
-                    init = _initial_pair(config, seed)
-                    want = plug_in(data, k, init)
-                    calls.clear()
-                    with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(regression, "fit_least_squares", recording)
-                        got = plug_in(data, k, init)
-                    assert len(set(calls)) == len(calls)
-                    solves += len(calls)
-                    assert np.array_equal(got.beta_m, want.beta_m)
-                    assert np.array_equal(got.beta_M, want.beta_M)
+        for data, k, init in self._cache_cells():
+            want = plug_in(data, k, init)
+            calls.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(regression, "fit_least_squares", recording)
+                got = plug_in(data, k, init)
+            assert len(set(calls)) == len(calls)
+            solves += len(calls)
+            assert np.array_equal(got.beta_m, want.beta_m)
+            assert np.array_equal(got.beta_M, want.beta_M)
         assert solves > 0
 
     def test_one_evaluation_per_pair(self):
-        # The cells of test_one_solve_per_row_set. A pair that the same call
-        # has evaluated reuses its objective and active set, and the result
-        # keeps its bits; recomputing them repeated 3, 8, 2 and 6
-        # evaluations in these four cells.
+        # A pair that the same call has evaluated reuses its objective and
+        # active set, and the result keeps its bits; recomputing them
+        # repeated 3, 8, 2 and 6 evaluations in the four cells. A pair is
+        # told by its two iterates' squared residuals, which _evaluate gets.
         keys = []
 
-        def recording(X, y, spec, beta_m, beta_M, tol):
-            keys.append(beta_m.tobytes() + beta_M.tobytes())
-            return _evaluate(X, y, spec, beta_m, beta_M, tol)
+        def recording(spec, losses_m, losses_M, tol):
+            keys.append(losses_m.tobytes() + losses_M.tobytes())
+            return _evaluate(spec, losses_m, losses_M, tol)
 
-        t1 = ErrorDist.student_t(1)
-        cells = [
-            (ExperimentConfig(setup="B", n=1000, p=0.3), (0.0, 0.2)),
-            (ExperimentConfig(setup="A", n=120, error_dist=t1), (0.0, 0.1)),
-        ]
-        for config, eps_grid in cells:
-            for eps in eps_grid:
-                k = trim_count(eps, config.n)
-                for trial in range(4):
-                    seed = trial_seed(
-                        0, config.setup, config.n, config.d, config.rho_or_p, eps,
-                        config.error_dist.label, trial,
-                    )
-                    data = _make_trial_data(config, eps, seed)
-                    init = _initial_pair(config, seed)
-                    want = plug_in(data, k, init)
-                    keys.clear()
-                    with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(regression, "_evaluate", recording)
-                        got = plug_in(data, k, init)
-                    assert keys
-                    assert len(set(keys)) == len(keys)
-                    assert np.array_equal(got.beta_m, want.beta_m)
-                    assert np.array_equal(got.beta_M, want.beta_M)
+        for data, k, init in self._cache_cells():
+            want = plug_in(data, k, init)
+            keys.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(regression, "_evaluate", recording)
+                got = plug_in(data, k, init)
+            assert keys
+            assert len(set(keys)) == len(keys)
+            assert np.array_equal(got.beta_m, want.beta_m)
+            assert np.array_equal(got.beta_M, want.beta_M)
+
+    def test_one_residual_product_per_iterate(self):
+        # Each iterate's squared residuals are computed once per call and
+        # serve every pair it belongs to; each distinct pair evaluated gets
+        # one trimmed mean, and the result keeps its bits.
+        products = []  # iterate bytes, one per product
+        iterate = {}  # id of a product's output -> its iterate's bytes
+        pairs = []  # (beta_m bytes, beta_M bytes) per evaluation
+        means = []
+
+        def squared(X, y, beta):
+            out = _squared_residuals(X, y, beta)
+            products.append(beta.tobytes())
+            iterate[id(out)] = products[-1]
+            return out
+
+        def evaluate(spec, losses_m, losses_M, tol):
+            pairs.append((iterate[id(losses_m)], iterate[id(losses_M)]))
+            return _evaluate(spec, losses_m, losses_M, tol)
+
+        def mean(values, spec):
+            means.append(values.size)
+            return trimmed_mean(values, spec)
+
+        for data, k, init in self._cache_cells():
+            want = plug_in(data, k, init)
+            products.clear()
+            iterate.clear()
+            pairs.clear()
+            means.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(regression, "_squared_residuals", squared)
+                mp.setattr(regression, "_evaluate", evaluate)
+                mp.setattr(regression, "trimmed_mean", mean)
+                got = plug_in(data, k, init)
+            assert pairs
+            assert len(set(products)) == len(products)
+            assert set(products) == {b for pair in pairs for b in pair}
+            assert len(means) == len(set(pairs))
+            assert np.array_equal(got.beta_m, want.beta_m)
+            assert np.array_equal(got.beta_M, want.beta_M)
 
 
 def _reference_active(X, y, beta_m, beta_M, k):
@@ -1453,6 +1497,21 @@ class TestLossL2:
     def test_rejects_asymmetric_sigma(self):
         with pytest.raises(ValueError):
             loss_l2(np.ones(2), np.zeros(2), np.array([[1.0, 0.3], [0.0, 1.0]]))
+        # a NaN equals nothing, itself included, on or off the diagonal
+        for cell in ((0, 1), (1, 1)):
+            sigma = np.eye(2)
+            sigma[cell] = np.nan
+            with pytest.raises(ValueError, match="symmetric"):
+                loss_l2(np.ones(2), np.zeros(2), sigma)
+
+    def test_accepts_sigma_asymmetric_within_tolerance(self):
+        # not exactly symmetric, but within allclose's tolerance, so the
+        # value is that of the quadratic form of the matrix as given
+        sigma = np.array([[1.0, 0.5 + 1e-13], [0.5, 1.0]])
+        assert not np.array_equal(sigma, sigma.T)
+        diff = np.array([1.0, -2.0])
+        want = math.sqrt(float(diff @ sigma @ diff))
+        assert loss_l2(diff, np.zeros(2), sigma) == want
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
